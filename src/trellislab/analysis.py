@@ -14,30 +14,23 @@ from .trellis import Trellis, behavior, dualize, realized_code
 from .fragments import unobservable_state_space
 
 
-def _branch_columns(t: Trellis, i: int) -> list[int]:
-    nxt = (i + 1) % t.m
-    cols = list(range(t.state_offset(i), t.state_offset(i) + t.state_dims[i]))
-    cols += list(range(t.symbol_offset(i), t.symbol_offset(i) + t.symbol_dims[i]))
-    cols += list(range(t.state_offset(nxt), t.state_offset(nxt) + t.state_dims[nxt]))
-    return cols
-
-
-def _state_columns(t: Trellis, i: int) -> list[int]:
-    return list(range(t.state_offset(i), t.state_offset(i) + t.state_dims[i]))
+def _adjacent_onto_state(t: Trellis, i: int, op) -> tuple[Subspace, Subspace]:
+    """`op` (project or cross_section) of C_{i-1} and of C_i onto their S_i
+    coordinates."""
+    prev = (i - 1) % t.m
+    lo = t.state_out_offset(prev)
+    return (
+        op(t.constraints[prev], list(range(lo, lo + t.state_dims[i]))),
+        op(t.constraints[i], list(range(t.state_dims[i]))),
+    )
 
 
 def local_flags(t: Trellis, i: int) -> tuple[bool, bool]:
     """(trim at S_i, proper at S_i): both adjacent constraints project onto
     S_i, and neither has a branch supported on S_i alone."""
-    prev = (i - 1) % t.m
-    c_in = t.constraints[prev]
-    c_out = t.constraints[i]
-    din_l = t.state_dims[prev] + t.symbol_dims[prev]
-    in_cols = list(range(din_l, din_l + t.state_dims[i]))
-    out_cols = list(range(t.state_dims[i]))
-    trim = project(c_in, in_cols).is_full() and project(c_out, out_cols).is_full()
-    proper = cross_section(c_in, in_cols).is_zero() and cross_section(c_out, out_cols).is_zero()
-    return trim, proper
+    p_in, p_out = _adjacent_onto_state(t, i, project)
+    x_in, x_out = _adjacent_onto_state(t, i, cross_section)
+    return p_in.is_full() and p_out.is_full(), x_in.is_zero() and x_out.is_zero()
 
 
 @dataclass(frozen=True)
@@ -58,10 +51,10 @@ def global_trim_flags(t: Trellis) -> GlobalTrim:
     """Whether every state (resp. branch) lies on a valid trajectory."""
     b = behavior(t)
     state_at = tuple(
-        project(b, _state_columns(t, i)).is_full() for i in range(t.m)
+        project(b, t.state_columns(i)).is_full() for i in range(t.m)
     )
     branch_at = tuple(
-        project(b, _branch_columns(t, i)) == t.constraints[i] for i in range(t.m)
+        project(b, t.branch_columns(i)) == t.constraints[i] for i in range(t.m)
     )
     return GlobalTrim(state_at, branch_at)
 
@@ -157,6 +150,22 @@ def merge_trim_status(t: Trellis) -> tuple[bool, bool]:
     td = dualize(t)
     nonmergeable = observable(td) and global_trim_flags(td).state_trim
     return nontrimmable, nonmergeable
+
+
+# The global yes/no properties of a PropertyReport, in report order.
+FLAG_NAMES = (
+    "trim",
+    "proper",
+    "observable",
+    "controllable",
+    "tpoc",
+    "state_trim",
+    "branch_trim",
+    "reduced",
+    "nonmergeable",
+    "nontrimmable",
+    "connected",
+)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .trellis import Span, dualize
-from .analysis import property_report
+from .analysis import FLAG_NAMES, property_report
 from .fragments import (
     fragment,
     is_fragment_trim,
@@ -58,17 +58,7 @@ def _report_dict(t, rep) -> dict:
         "constraint_dims": list(t.constraint_dims()),
         "behavior_dim": rep.behavior_dim,
         "code_dim": rep.code_dim,
-        "trim": rep.trim,
-        "proper": rep.proper,
-        "observable": rep.observable,
-        "controllable": rep.controllable,
-        "tpoc": rep.tpoc,
-        "state_trim": rep.state_trim,
-        "branch_trim": rep.branch_trim,
-        "reduced": rep.reduced,
-        "nonmergeable": rep.nonmergeable,
-        "nontrimmable": rep.nontrimmable,
-        "connected": rep.connected,
+        **{name: getattr(rep, name) for name in FLAG_NAMES},
         "trim_at": list(rep.trim_at),
         "proper_at": list(rep.proper_at),
         "state_trim_at": list(rep.state_trim_at),
@@ -108,19 +98,7 @@ def cmd_analyze(args) -> int:
     print(f"state dims      {list(t.state_dims)}")
     print(f"constraint dims {list(t.constraint_dims())}")
     print(f"behavior dim {rep.behavior_dim}, code dim {rep.code_dim}")
-    for name in (
-        "trim",
-        "proper",
-        "observable",
-        "controllable",
-        "tpoc",
-        "state_trim",
-        "branch_trim",
-        "reduced",
-        "nonmergeable",
-        "nontrimmable",
-        "connected",
-    ):
+    for name in FLAG_NAMES:
         print(f"{name:15s} {data[name]}")
     for name, flags in (
         ("state-trim", rep.state_trim_at),

@@ -29,7 +29,7 @@ from .trellis import (
     product,
     realized_code,
 )
-from .analysis import classify_chain, property_report
+from .analysis import FLAG_NAMES, classify_chain, property_report
 from .fragments import is_jk_observable, t_observability_profile
 from .reduction import (
     conventional_trellis,
@@ -496,19 +496,7 @@ def evaluate_expectation(exp: dict, t: Trellis, directory: Path) -> tuple[bool, 
     kind = exp["check"]
     if kind == "flag":
         rep = property_report(t)
-        mapping = {
-            "tpoc": rep.tpoc,
-            "trim": rep.trim,
-            "proper": rep.proper,
-            "observable": rep.observable,
-            "controllable": rep.controllable,
-            "state_trim": rep.state_trim,
-            "branch_trim": rep.branch_trim,
-            "reduced": rep.reduced,
-            "nonmergeable": rep.nonmergeable,
-            "nontrimmable": rep.nontrimmable,
-            "connected": rep.connected,
-        }
+        mapping = {name: getattr(rep, name) for name in FLAG_NAMES}
         got = mapping[exp["name"]]
         return got == exp["want"], f"{exp['name']}={got}"
     if kind == "state_dims":

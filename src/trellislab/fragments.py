@@ -23,7 +23,7 @@ from .galois import (
     orthogonal,
     project,
 )
-from .trellis import Span, Trellis, dualize
+from .trellis import Span, Trellis, _scatter_checks, behavior, dualize
 
 
 @dataclass(frozen=True)
@@ -59,16 +59,10 @@ class TransitionSpaces:
 def fragment(t: Trellis, iv: Span) -> Fragment:
     if iv.m != t.m:
         raise ValueError("span axis length does not match the trellis")
-    from .trellis import validate
-
-    problems = validate(t)
-    if problems:
-        raise ValueError("malformed trellis: " + "; ".join(problems))
     key = ("fragment", iv.start, iv.length)
     cached = t._cache.get(key)
     if cached is not None:
         return cached
-    p = t.field.p
     if iv.length == 0:
         d = t.state_dims[iv.start]
         rows = []
@@ -99,19 +93,7 @@ def fragment(t: Trellis, iv: Span) -> Fragment:
 
     rows = []
     for u, i in enumerate(times):
-        checks = orthogonal(t.constraints[i])
-        dl = t.state_dims[i]
-        da = t.symbol_dims[i]
-        dr = t.state_dims[(i + 1) % t.m]
-        for h in checks.basis.entries:
-            row = [0] * n
-            for k in range(dl):
-                row[st_off[u] + k] = (row[st_off[u] + k] + h[k]) % p
-            for k in range(da):
-                row[sym_off[i] + k] = (row[sym_off[i] + k] + h[dl + k]) % p
-            for k in range(dr):
-                row[st_off[u + 1] + k] = (row[st_off[u + 1] + k] + h[dl + da + k]) % p
-            rows.append(row)
+        rows += _scatter_checks(t, i, n, (st_off[u], sym_off[i], st_off[u + 1]))
     internal = kernel(Mat.from_rows(t.field, n, rows))
     keep = list(range(sym_width))
     keep += list(range(st_off[0], st_off[0] + state_blocks[0]))
@@ -133,8 +115,6 @@ def transition_spaces(f: Fragment) -> TransitionSpaces:
 
 def unobservable_state_space(t: Trellis) -> Subspace:
     """The state configurations carried by all-zero symbol trajectories."""
-    from .trellis import behavior
-
     cached = t._cache.get("s_unobs")
     if cached is not None:
         return cached
@@ -143,16 +123,6 @@ def unobservable_state_space(t: Trellis) -> Subspace:
     result = cross_section(b, cols)
     t._cache["s_unobs"] = result
     return result
-
-
-def _boundary_projection_of(space: Subspace, t: Trellis, iv: Span) -> Subspace:
-    """Project a subspace of the state configuration space onto (S_j, S_k)."""
-    off = [sum(t.state_dims[:i]) for i in range(t.m)]
-    j = iv.start
-    k = iv.end
-    cols = list(range(off[j], off[j] + t.state_dims[j]))
-    cols += list(range(off[k], off[k] + t.state_dims[k]))
-    return project(space, cols)
 
 
 def is_jk_observable(t: Trellis, iv: Span, generalized: bool = False) -> bool:
@@ -166,7 +136,9 @@ def is_jk_observable(t: Trellis, iv: Span, generalized: bool = False) -> bool:
     u = transition_spaces(fragment(t, iv)).unobservable
     if not generalized:
         return u.is_zero()
-    allowed = _boundary_projection_of(unobservable_state_space(t), t, iv)
+    cols = t.state_columns(iv.start, states_only=True)
+    cols += t.state_columns(iv.end, states_only=True)
+    allowed = project(unobservable_state_space(t), cols)
     return u == allowed
 
 
@@ -245,22 +217,11 @@ def _compose_external(
 ) -> Subspace:
     """Join an external behavior (A^w x S_j x S_mid) with constraint C_i over
     the shared state S_mid, eliminating it."""
-    p = t.field.p
     da = t.symbol_dims[i]
     dnext = t.state_dims[(i + 1) % t.m]
     n = na + dj + dmid + da + dnext
-    rows = []
-    for h in orthogonal(ext).basis.entries:
-        rows.append(list(h) + [0] * (da + dnext))
-    for h in orthogonal(t.constraints[i]).basis.entries:
-        row = [0] * n
-        for k in range(dmid):
-            row[na + dj + k] = h[k]
-        for k in range(da):
-            row[na + dj + dmid + k] = h[dmid + k]
-        for k in range(dnext):
-            row[na + dj + dmid + da + k] = h[dmid + da + k]
-        rows.append(row)
+    rows = [list(h) + [0] * (da + dnext) for h in orthogonal(ext).basis.entries]
+    rows += _scatter_checks(t, i, n, (na + dj, na + dj + dmid, na + dj + dmid + da))
     joint = kernel(Mat.from_rows(t.field, n, rows))
     keep = list(range(na))
     keep += list(range(na + dj + dmid, na + dj + dmid + da))

@@ -199,13 +199,6 @@ class Subspace:
                 v = [(x - f * y) % p for x, y in zip(v, row)]
         return not any(v)
 
-    def coords(self, vector: Sequence[int]) -> tuple[int, ...]:
-        """Coefficients of a member vector over the RREF basis (pivot read-off)."""
-        if not self.contains(vector):
-            raise ValueError("vector is not in the subspace")
-        p = self.field.p
-        return tuple(vector[c] % p for c in self.pivots())
-
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis.entries)
 
@@ -319,24 +312,6 @@ def cross_section(s: Subspace, cols: Sequence[int]) -> Subspace:
     axis = coordinate_space(s.field, s.ambient_dim, cols)
     _, inter = lattice(s, axis)
     return project(inter, cols)
-
-
-def apply_map(s: Subspace, m: Mat) -> Subspace:
-    """Image {x · m : x in s}."""
-    if m.rows != s.ambient_dim:
-        raise ValueError("map shape mismatch")
-    return Subspace.span(s.field, m.cols, s.basis.times(m).entries)
-
-
-def embed(s: Subspace, ambient_dim: int, positions: Sequence[int]) -> Subspace:
-    """Embed into a larger space by scattering coordinates to `positions`."""
-    rows = []
-    for row in s.basis.entries:
-        v = [0] * ambient_dim
-        for x, pos in zip(row, positions):
-            v[pos] = x
-        rows.append(v)
-    return Subspace.span(s.field, ambient_dim, rows)
 
 
 def negate_columns(s: Subspace, cols: Sequence[int]) -> Subspace:

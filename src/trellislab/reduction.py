@@ -30,6 +30,7 @@ from .trellis import (
     Generator,
     Span,
     Trellis,
+    _dual_constraint,
     behavior,
     dualize,
     elementary,
@@ -38,8 +39,20 @@ from .trellis import (
     realized_code,
     time_reversed,
 )
-from .analysis import global_trim_flags, local_flags, observable, controllable
-from .fragments import fragment, transition_spaces, unobservable_state_space
+from .analysis import (
+    _adjacent_onto_state,
+    controllable,
+    global_trim_flags,
+    local_flags,
+    observable,
+    property_report,
+)
+from .fragments import (
+    fragment,
+    t_observability_profile,
+    transition_spaces,
+    unobservable_state_space,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -62,30 +75,32 @@ def _restrict_block(c: Subspace, lo: int, hi: int, y: Subspace) -> Subspace:
     return Subspace.span(field_, lo + y.dim + (c.ambient_dim - hi), rows)
 
 
+def _rewrite_state(t: Trellis, i: int, y: Subspace, kind: str, new_dim: int, block) -> Trellis:
+    """Replace S_i by a new_dim-dimensional space, rewriting its block in
+    C_{i-1} and in C_i with `block(code, lo, hi)`.  The state-out block is
+    rewritten first, so for m = 1, where both blocks lie in C_0, the state-in
+    block has not moved."""
+    i %= t.m
+    if y.ambient_dim != t.state_dims[i] or y.field != t.field:
+        raise ValueError(f"{kind} subspace does not live in S_i")
+    prev = (i - 1) % t.m
+    n = t.state_dims[i]
+    lo = t.state_out_offset(prev)
+    constraints = list(t.constraints)
+    constraints[prev] = block(constraints[prev], lo, lo + n)
+    constraints[i] = block(constraints[i], 0, n)
+    sdims = list(t.state_dims)
+    sdims[i] = new_dim
+    return Trellis(t.field, t.m, t.symbol_dims, tuple(sdims), tuple(constraints))
+
+
 def trim_to(t: Trellis, i: int, y: Subspace) -> Trellis:
     """Restrict the state space S_i to y and both adjacent constraint codes
     accordingly; the new state space uses y's canonical basis coordinates.
     The realized code is not necessarily preserved."""
-    i %= t.m
-    if y.ambient_dim != t.state_dims[i] or y.field != t.field:
-        raise ValueError("trim subspace does not live in S_i")
-    prev = (i - 1) % t.m
-    sdims = list(t.state_dims)
-    sdims[i] = y.dim
-    constraints = list(t.constraints)
-    if t.m == 1:
-        da = t.symbol_dims[0]
-        n = t.state_dims[0]
-        c = _restrict_block(t.constraints[0], 0, n, y)
-        c = _restrict_block(c, y.dim + da, y.dim + da + n, y)
-        constraints[0] = c
-    else:
-        lo = t.state_dims[prev] + t.symbol_dims[prev]
-        constraints[prev] = _restrict_block(
-            t.constraints[prev], lo, lo + t.state_dims[i], y
-        )
-        constraints[i] = _restrict_block(t.constraints[i], 0, t.state_dims[i], y)
-    return Trellis(t.field, t.m, t.symbol_dims, tuple(sdims), tuple(constraints))
+    return _rewrite_state(
+        t, i, y, "trim", y.dim, lambda c, lo, hi: _restrict_block(c, lo, hi, y)
+    )
 
 
 def _quotient_map(y: Subspace) -> Mat:
@@ -115,40 +130,16 @@ def merge_to(t: Trellis, i: int, y: Subspace) -> Trellis:
     """Replace S_i by the quotient modulo y, realized through a fixed linear
     section (the deterministic complement of y).  The realized code is not
     necessarily preserved."""
-    i %= t.m
-    if y.ambient_dim != t.state_dims[i] or y.field != t.field:
-        raise ValueError("merge subspace does not live in S_i")
-    prev = (i - 1) % t.m
     q = _quotient_map(y)
-    sdims = list(t.state_dims)
-    sdims[i] = q.cols
-    constraints = list(t.constraints)
-    if t.m == 1:
-        da = t.symbol_dims[0]
-        n = t.state_dims[0]
-        c = _map_block(t.constraints[0], 0, n, q)
-        c = _map_block(c, q.cols + da, q.cols + da + n, q)
-        constraints[0] = c
-    else:
-        lo = t.state_dims[prev] + t.symbol_dims[prev]
-        constraints[prev] = _map_block(t.constraints[prev], lo, lo + t.state_dims[i], q)
-        constraints[i] = _map_block(t.constraints[i], 0, t.state_dims[i], q)
-    return Trellis(t.field, t.m, t.symbol_dims, tuple(sdims), tuple(constraints))
-
-
-def _branch_projection(t: Trellis, i: int) -> Subspace:
-    b = behavior(t)
-    nxt = (i + 1) % t.m
-    cols = list(range(t.state_offset(i), t.state_offset(i) + t.state_dims[i]))
-    cols += list(range(t.symbol_offset(i), t.symbol_offset(i) + t.symbol_dims[i]))
-    cols += list(range(t.state_offset(nxt), t.state_offset(nxt) + t.state_dims[nxt]))
-    return project(b, cols)
+    return _rewrite_state(
+        t, i, y, "merge", q.cols, lambda c, lo, hi: _map_block(c, lo, hi, q)
+    )
 
 
 def branch_trim(t: Trellis, i: int) -> Trellis:
     """Replace C_i by the branches that occur on valid trajectories."""
     i %= t.m
-    used = _branch_projection(t, i)
+    used = project(behavior(t), t.branch_columns(i))
     if used == t.constraints[i]:
         raise ValueError(f"constraint {i} is already branch-trim")
     constraints = list(t.constraints)
@@ -300,9 +291,11 @@ def branch_expand_step(t: Trellis, i: int, new_branches: Subspace) -> ReductionS
 # unobservable trimming
 
 
-def _state_block_columns(t: Trellis, i: int) -> list[int]:
-    off = sum(t.state_dims[:i])
-    return list(range(off, off + t.state_dims[i]))
+def _first_nonzero_time(t: Trellis, config) -> int:
+    """The first time whose block of a state configuration is nonzero."""
+    return next(
+        i for i in range(t.m) if any(config[c] for c in t.state_columns(i, states_only=True))
+    )
 
 
 def unobs_trim(t: Trellis, choose_index: int | None = None) -> ReductionStep:
@@ -316,17 +309,10 @@ def unobs_trim(t: Trellis, choose_index: int | None = None) -> ReductionStep:
         raise ValueError("trellis is observable; nothing to trim")
     if choose_index is None:
         witness = su.basis.entries[0]
-        pivot = next(q for q, x in enumerate(witness) if x)
-        acc = 0
-        idx = 0
-        for i, d in enumerate(t.state_dims):
-            if acc <= pivot < acc + d:
-                idx = i
-                break
-            acc += d
+        idx = _first_nonzero_time(t, witness)
     else:
         idx = choose_index % t.m
-        cols = _state_block_columns(t, idx)
+        cols = t.state_columns(idx, states_only=True)
         witness = None
         for cand in su.sorted_vectors():
             if any(cand[c] for c in cols):
@@ -334,8 +320,7 @@ def unobs_trim(t: Trellis, choose_index: int | None = None) -> ReductionStep:
                 break
         if witness is None:
             raise ValueError(f"no unobservable trajectory is nonzero at time {idx}")
-    cols = _state_block_columns(t, idx)
-    sigma = [witness[c] for c in cols]
+    sigma = [witness[c] for c in t.state_columns(idx, states_only=True)]
     line = Subspace.span(t.field, t.state_dims[idx], [sigma])
     rest = complement(line, Subspace.full(t.field, t.state_dims[idx]))
     after = trim_to(t, idx, rest)
@@ -357,12 +342,6 @@ def unobs_trim(t: Trellis, choose_index: int | None = None) -> ReductionStep:
         if (drop_in, drop_out) != (1, 1):
             raise RuntimeError("adjacent constraint dimensions must drop by one")
     return step
-
-
-def _undual_constraint(c: Subspace, dl: int, da: int, dr: int) -> Subspace:
-    from .galois import negate_columns
-
-    return negate_columns(orthogonal(c), range(dl + da, dl + da + dr))
 
 
 @dataclass(frozen=True)
@@ -395,10 +374,7 @@ def two_reduction_m1(t: Trellis) -> TwoReduction:
         raise ValueError("trellis is (m-1)-observable; no reduction here")
     i = bad[0]
     dual_bt = branch_trim_step(td, i)
-    dl = t.state_dims[i]
-    da = t.symbol_dims[i]
-    dr = t.state_dims[(i + 1) % t.m]
-    expanded = _undual_constraint(dual_bt.result.constraints[i], dl, da, dr)
+    expanded = _dual_constraint(dual_bt.result, i)
     primal_exp = branch_expand_step(t, i, expanded)
     primal_trim = unobs_trim(primal_exp.result, choose_index=i)
     y = orthogonal(primal_trim.details["trim_basis"])
@@ -565,8 +541,6 @@ def zero_run_reduce(
     m = t.m
     if not 2 <= tlen <= m - 1:
         raise ValueError("reduction length must be between 2 and m-1")
-    from .analysis import property_report
-
     rep = property_report(t)
     if not rep.tpoc:
         raise ValueError("zero-run reduction requires a TPOC trellis")
@@ -899,9 +873,6 @@ def t_irreducibility(t: Trellis, tparam: int) -> IrreducibilityDecision:
     """Decide t-irreducibility through interval observability, constructing
     the dictated reduction when the trellis is reducible inside the span
     window; outside the window only the sufficient condition is reported."""
-    from .analysis import property_report
-    from .fragments import t_observability_profile
-
     rep = property_report(t)
     if not rep.tpoc:
         raise ValueError("t-irreducibility analysis requires a TPOC trellis")
@@ -933,32 +904,29 @@ def t_irreducibility(t: Trellis, tparam: int) -> IrreducibilityDecision:
             (),
             "interval observability fails but the span window is exceeded; no verdict",
         )
-    if tparam == 1:
-        two = two_reduction_m1(t if not memory.observable[m - 1] else dualize(t))
-        return IrreducibilityDecision(
-            tparam, "reducible", chi, chi_dual, certificate, two.primal_steps,
-            "strict and conservative 2-reduction constructed",
-        )
-    finer_obs = memory.observable[m - tparam + 1]
-    finer_ctr = memory.controllable[m - tparam + 1]
-    if not finer_obs or not finer_ctr:
-        work, label = (t, "primal") if not finer_obs else (dualize(t), "dual")
+    finer = m - tparam + 1
+    if tparam > 1 and not (memory.observable[finer] and memory.controllable[finer]):
+        work, label = (t, "primal") if not memory.observable[finer] else (dualize(t), "dual")
         if tparam == 2:
             steps = two_reduction_m1(work).primal_steps
         else:
-            j = _first_unobservable_start(work, m - tparam + 1)
+            j = _first_unobservable_start(work, finer)
             _, strict = zero_run_reduce(work, j, tparam - 1)
             steps = (strict,)
         note = f"strict conservative {tparam}-reduction on the {label} side"
     else:
         work, label = (t, "primal") if not obs else (dualize(t), "dual")
-        j = _first_unobservable_start(work, m - tparam)
-        cons, strict = zero_run_reduce(work, j, tparam)
-        steps = (cons, strict)
-        note = (
-            f"non-strict conservative {tparam}-reduction and strict "
-            f"({tparam + 1})-reduction on the {label} side"
-        )
+        if tparam == 1:
+            steps = two_reduction_m1(work).primal_steps
+            note = f"strict and conservative 2-reduction constructed on the {label} side"
+        else:
+            j = _first_unobservable_start(work, m - tparam)
+            cons, strict = zero_run_reduce(work, j, tparam)
+            steps = (cons, strict)
+            note = (
+                f"non-strict conservative {tparam}-reduction and strict "
+                f"({tparam + 1})-reduction on the {label} side"
+            )
     return IrreducibilityDecision(
         tparam, "reducible", chi, chi_dual, certificate, steps, note
     )
@@ -977,7 +945,7 @@ class ReductionReport:
     initial: Trellis
     final: Trellis
     steps: tuple[ReductionStep, ...]
-    status: str  # "reduced" | "no-applicable-method" | "fixpoint"
+    status: str  # "reduced" | "no-applicable-method"
 
     def records(self) -> list[dict]:
         return [s.record() for s in self.steps]
@@ -989,47 +957,30 @@ def _next_driver_steps(t: Trellis) -> tuple[ReductionStep, ...] | None:
     for i in range(m):
         trim_ok, proper_ok = local_flags(t, i)
         if not trim_ok:
-            prev = (i - 1) % m
-            lo = t.state_dims[prev] + t.symbol_dims[prev]
-            p_in = project(t.constraints[prev], list(range(lo, lo + t.state_dims[i])))
-            p_out = project(t.constraints[i], list(range(t.state_dims[i])))
-            _, inter = lattice(p_in, p_out)
+            _, inter = lattice(*_adjacent_onto_state(t, i, project))
             return (trim_step(t, i, inter, note="restore local trimness"),)
         if not proper_ok:
-            prev = (i - 1) % m
-            lo = t.state_dims[prev] + t.symbol_dims[prev]
-            c_in = cross_section(t.constraints[prev], list(range(lo, lo + t.state_dims[i])))
-            c_out = cross_section(t.constraints[i], list(range(t.state_dims[i])))
-            total, _ = lattice(c_in, c_out)
+            total, _ = lattice(*_adjacent_onto_state(t, i, cross_section))
             return (merge_step(t, i, total, note="restore local properness"),)
     if not observable(t):
         return (unobs_trim(t),)
     if not controllable(t):
         td = dualize(t)
-        su = unobservable_state_space(td)
-        witness = su.basis.entries[0]
-        pivot = next(q for q, x in enumerate(witness) if x)
-        acc = 0
-        idx = 0
-        for i, d in enumerate(t.state_dims):
-            if acc <= pivot < acc + d:
-                idx = i
-                break
-            acc += d
-        cols = _state_block_columns(td, idx)
-        sigma = [witness[c] for c in cols]
+        witness = unobservable_state_space(td).basis.entries[0]
+        idx = _first_nonzero_time(td, witness)
+        sigma = [witness[c] for c in td.state_columns(idx, states_only=True)]
         line = Subspace.span(t.field, t.state_dims[idx], [sigma])
         rest = complement(line, Subspace.full(t.field, t.state_dims[idx]))
         return (merge_step(t, idx, orthogonal(rest), note="dual unobservable run"),)
     gt = global_trim_flags(t)
     for i in range(m):
         if not gt.state_trim_at[i]:
-            used = project(behavior(t), _behavior_state_cols(t, i))
+            used = project(behavior(t), t.state_columns(i))
             return (trim_step(t, i, used, note="remove unused states"),)
     gtd = global_trim_flags(dualize(t))
     for i in range(m):
         if not gtd.state_trim_at[i]:
-            used = project(behavior(dualize(t)), _behavior_state_cols(t, i))
+            used = project(behavior(dualize(t)), t.state_columns(i))
             return (merge_step(t, i, orthogonal(used), note="merge unreachable dual states"),)
     for i in range(m):
         if not gt.branch_trim_at[i]:
@@ -1058,11 +1009,6 @@ def _next_driver_steps(t: Trellis) -> tuple[ReductionStep, ...] | None:
                 )
                 return (mirrored,)
     return None
-
-
-def _behavior_state_cols(t: Trellis, i: int) -> list[int]:
-    off = t.state_offset(i)
-    return list(range(off, off + t.state_dims[i]))
 
 
 def reduce_driver(t: Trellis, max_rounds: int = 200) -> ReductionReport:

@@ -8,29 +8,31 @@ deterministic: states in lexicographic order, edges sorted.
 from __future__ import annotations
 
 from .galois import Subspace
+from .specfile import _format_block
 from .trellis import Trellis
 
 
-def _label(vec) -> str:
+def _label(vec, p: int) -> str:
     if not vec:
         return "-"
-    return "".join(str(x) for x in vec)
+    return _format_block(vec, p)
 
 
-def _node(col: int, vec) -> str:
-    return f"t{col}_{_label(vec)}"
+def _node(col: int, vec, p: int) -> str:
+    return f"t{col}_{_label(vec, p)}"
 
 
 def to_dot(t: Trellis) -> str:
     lines = ["digraph trellis {", "  rankdir=LR;", '  node [shape=circle, fontsize=10];']
     cols = t.m + 1
+    p = t.field.p
     for col in range(cols):
         i = col % t.m
         states = sorted(Subspace.full(t.field, t.state_dims[i]).vectors())
-        names = "; ".join(f'"{_node(col, v)}"' for v in states)
+        names = "; ".join(f'"{_node(col, v, p)}"' for v in states)
         lines.append(f"  {{ rank=same; {names}; }}")
         for v in states:
-            lines.append(f'  "{_node(col, v)}" [label="{_label(v)}"];')
+            lines.append(f'  "{_node(col, v, p)}" [label="{_label(v, p)}"];')
     for i in range(t.m):
         dl = t.state_dims[i]
         da = t.symbol_dims[i]
@@ -41,10 +43,10 @@ def to_dot(t: Trellis) -> str:
             right = br[dl + da:]
             style = "dashed" if not any(sym) else "solid"
             attrs = [f"style={style}"]
-            if da > 1 or (da == 1 and t.field.p > 2 and any(sym)):
-                attrs.append(f'label="{_label(sym)}"')
+            if da > 1 or (da == 1 and p > 2 and any(sym)):
+                attrs.append(f'label="{_label(sym, p)}"')
             edges.append(
-                f'  "{_node(i, left)}" -> "{_node(i + 1, right)}" [{", ".join(attrs)}];'
+                f'  "{_node(i, left, p)}" -> "{_node(i + 1, right, p)}" [{", ".join(attrs)}];'
             )
         lines.extend(sorted(edges))
     lines.append("}")

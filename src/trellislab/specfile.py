@@ -114,10 +114,11 @@ def parse(text: str) -> Trellis:
             header["field"] = _expect_int(parts, 1, no)
         elif word == "length":
             header["length"] = _expect_int(parts, 1, no)
-        elif word == "symbol-dims":
-            header["symbol-dims"] = [_int_at(x, no) for x in parts[1:]]
-        elif word == "state-dims":
-            header["state-dims"] = [_int_at(x, no) for x in parts[1:]]
+        elif word in ("symbol-dims", "state-dims"):
+            dims = [_int_at(x, no) for x in parts[1:]]
+            if any(d < 0 for d in dims):
+                raise SpecFileError(f"{word} must not be negative", no)
+            header[word] = dims
         else:
             raise SpecFileError(f"unknown header line {word!r}", no)
 

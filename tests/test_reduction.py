@@ -455,6 +455,11 @@ def test_t_irreducibility_reducible_cases(figures):
     dec = t_irreducibility(fig3a, 1)
     assert dec.verdict == "reducible"
     assert dec.steps and dec.steps[-1].strict and dec.steps[-1].conservative
+    fig1b = figures["fig1b"]
+    dec1b = t_irreducibility(fig1b, 1)
+    assert dec1b.verdict == "reducible"
+    assert dec1b.note.endswith("on the dual side")
+    assert dec1b.steps[0].input == dualize(fig1b)
     sec8 = figures["sec8-chain-example"]
     dec8 = t_irreducibility(sec8, 2)
     assert dec8.verdict == "reducible"

@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -81,6 +83,25 @@ generators
         specfile.parse("field 2\nlength 2\nsymbol-dims 1 1\nstate-dims 0 0\nconstraint 0\n")
 
 
+def test_negative_dims_fail_closed(tmp_path):
+    text = "field 2\nlength 2\nsymbol-dims {}\nstate-dims {}\n\nconstraint 0\n\nconstraint 1\n"
+    for adims, sdims, where in (("-1 1", "0 0", "line 3: symbol-dims"), ("1 1", "0 -1", "line 4: state-dims")):
+        with pytest.raises(specfile.SpecFileError) as err:
+            specfile.parse(text.format(adims, sdims))
+        assert str(err.value) == f"{where} must not be negative"
+    path = tmp_path / "negative.trellis"
+    path.write_text(text.format("-1 1", "0 0"))
+    src = Path(specfile.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "trellislab.cli", "analyze", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 1
+    assert result.stderr == f"error: {path}: line 3: symbol-dims must not be negative\n"
+
+
 def test_render_deterministic_and_styled(figures):
     t = figures["fig1a"]
     dot = render.to_dot(t)
@@ -92,6 +113,14 @@ def test_render_deterministic_and_styled(figures):
     )
     zdot = render.to_dot(zero)
     assert zdot.count('label="-"') == 3
+
+
+def test_render_node_names_distinct_above_gf7():
+    field = FieldSpec(11)
+    t = Trellis(field, 1, (1,), (3,), (Subspace.zero(field, 7),))
+    names = re.findall(r'^  "([^"]+)" \[label=', render.to_dot(t), re.M)
+    assert len(names) == 2 * 11 ** 3  # time 0 appears at both ends
+    assert len(set(names)) == len(names)
 
 
 def test_render_expanded_intermediate(figures):
