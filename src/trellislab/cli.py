@@ -15,7 +15,6 @@ from pathlib import Path
 from .trellis import Span, dualize
 from .analysis import FLAG_NAMES, property_report
 from .fragments import (
-    fragment,
     is_fragment_trim,
     is_jk_controllable,
     is_jk_observable,
@@ -37,7 +36,9 @@ def _load(path: str):
         return specfile.parse(Path(path).read_text())
     except FileNotFoundError:
         raise SystemExit(f"error: no such file: {path}")
-    except specfile.SpecFileError as exc:
+    except OSError as exc:
+        raise SystemExit(f"error: {path}: {exc.strerror or exc}")
+    except (UnicodeDecodeError, specfile.SpecFileError) as exc:
         raise SystemExit(f"error: {path}: {exc}")
 
 
@@ -73,7 +74,7 @@ def cmd_analyze(args) -> int:
     data = _report_dict(t, rep)
     if args.fragment:
         iv = _parse_interval(args.fragment, t.m)
-        trans = transition_spaces(fragment(t, iv))
+        trans = transition_spaces(t, iv)
         data["fragment"] = {
             "start": iv.start,
             "len": iv.length,

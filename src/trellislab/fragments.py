@@ -1,13 +1,25 @@
-"""Trellis fragments: cut-open sub-trellises, transition spaces, and the
-observability/controllability/trimness notions attached to intervals.
+"""Transition relations of intervals, and the observability, controllability
+and trimness notions the paper attaches to them.
 
-A fragment over [j,k) keeps the symbols and constraints with indices in the
-interval and the states s_j..s_k, where s_k is a separate coordinate block
-even when the interval is the whole axis.  The empty interval is the single
-cut edge S_j with an equality constraint between its two half-edges.
+The transition space T of an interval [j,k) is the relation S_j -> S_k of
+boundary state pairs joined by a valid path over constraints j..k-1; its
+unobservable space U keeps the pairs joined by an all-zero-symbol path.  T
+and U are ordered compositions of per-constraint relations: T_i is C_i
+projected on its (state-in | state-out) coordinates, U_i is C_i's
+cross-section there, and the empty interval gives the diagonal of S_j.
+s_k is a separate coordinate block even when the interval is the whole axis.
 
-Fragments are memoized per trellis under (start, length) keys; entries are
-immutable once stored, so concurrent readers are safe.
+Cache keys in `Trellis._cache` (entries are immutable once stored; a racing
+writer only repeats work):
+  ("local-transitions", i)  T_i and U_i of constraint i;
+  ("transitions", j)        T and U of [j, j+L) for L = 0, 1, ..., a tuple
+                            of prefix compositions grown on demand up to m;
+  "s_unobs"                 the unobservable state configuration space;
+  ("fragment", j, L)        a `Fragment`.
+
+A `Fragment` is the whole cut-open sub-trellis, over all its symbol and
+state coordinates.  Only the external-behavior half of
+`check_fragment_duality` and the tests still build one.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ from .galois import (
     negate_columns,
     orthogonal,
     project,
+    rref,
 )
 from .trellis import Span, Trellis, _scatter_checks, behavior, dualize
 
@@ -37,20 +50,13 @@ class Fragment:
     def symbol_width(self) -> int:
         return sum(self.parent.symbol_dims[i] for i in self.interval.times())
 
-    @property
-    def entry_dim(self) -> int:
-        return self.parent.state_dims[self.interval.start]
-
-    @property
-    def exit_dim(self) -> int:
-        return self.parent.state_dims[self.interval.end]
-
 
 @dataclass(frozen=True)
 class TransitionSpaces:
-    """Projection (T) and cross-section (U) of the external behavior on the
-    boundary state pair; U is the zero-symbol part, so U is contained in T and
-    equals T exactly when the fragment carries no symbol coordinates."""
+    """The transition space T (boundary pairs (s_j, s_k) joined by a path)
+    and the unobservable space U (those joined by a zero-symbol path) of an
+    interval; U is contained in T and equals T when the interval carries no
+    symbol coordinates."""
 
     full: Subspace
     unobservable: Subspace
@@ -64,65 +70,92 @@ def fragment(t: Trellis, iv: Span) -> Fragment:
     if cached is not None:
         return cached
     if iv.length == 0:
-        d = t.state_dims[iv.start]
-        rows = []
-        for k in range(d):
-            v = [0] * (2 * d)
-            v[k] = 1
-            v[d + k] = 1
-            rows.append(v)
-        diag = Subspace.span(t.field, 2 * d, rows)
+        diag = _diagonal(t, iv.start)
         frag = Fragment(t, iv, diag, diag)
         t._cache[key] = frag
         return frag
 
     times = iv.times()
-    sym_width = sum(t.symbol_dims[i] for i in times)
-    state_blocks = [t.state_dims[(iv.start + u) % t.m] for u in range(iv.length + 1)]
-    state_width = sum(state_blocks)
-    n = sym_width + state_width
-
-    sym_off = {}
-    acc = 0
+    st_off = [sum(t.symbol_dims[i] for i in times)]
     for i in times:
-        sym_off[i] = acc
-        acc += t.symbol_dims[i]
-    st_off = [sym_width]
-    for d in state_blocks[:-1]:
-        st_off.append(st_off[-1] + d)
-
-    rows = []
+        st_off.append(st_off[-1] + t.state_dims[i])
+    n = st_off[-1] + t.state_dims[iv.end]
+    rows, sym = [], 0
     for u, i in enumerate(times):
-        rows += _scatter_checks(t, i, n, (st_off[u], sym_off[i], st_off[u + 1]))
+        rows += _scatter_checks(t, i, n, (st_off[u], sym, st_off[u + 1]))
+        sym += t.symbol_dims[i]
     internal = kernel(Mat.from_rows(t.field, n, rows))
-    keep = list(range(sym_width))
-    keep += list(range(st_off[0], st_off[0] + state_blocks[0]))
-    keep += list(range(st_off[-1], st_off[-1] + state_blocks[-1]))
+    keep = [*range(sym + t.state_dims[iv.start]), *range(st_off[-1], n)]  # symbols, s_j, s_k
     external = project(internal, keep)
     frag = Fragment(t, iv, internal, external)
     t._cache[key] = frag
     return frag
 
 
-def transition_spaces(f: Fragment) -> TransitionSpaces:
-    na = f.symbol_width
-    cols = list(range(na, na + f.entry_dim + f.exit_dim))
-    return TransitionSpaces(
-        full=project(f.external_behavior, cols),
-        unobservable=cross_section(f.external_behavior, cols),
-    )
+def _diagonal(t: Trellis, j: int) -> Subspace:
+    """The equality relation {(s, s)} on S_j."""
+    d = t.state_dims[j]
+    rows = [[int(c in (k, d + k)) for c in range(2 * d)] for k in range(d)]
+    return Subspace.span(t.field, 2 * d, rows)
+
+
+def compose(r: Subspace, s: Subspace, b: int) -> Subspace:
+    """The relation {(x, z) : (x, y) in r and (y, z) in s for some y}, where
+    y is the last b coordinates of r and the first b of s.
+
+    The rows (y | x | 0) of r's basis and (-y | 0 | z) of s's are brought to
+    RREF together; with the y columns first, the rows that vanish there span
+    exactly the combinations whose y parts cancel.  No dimension is special:
+    a relation of dimension 0 may still be the full space GF(p)^0."""
+    field, p = r.field, r.field.p
+    a, c = r.ambient_dim - b, s.ambient_dim - b
+    rows = [row[a:] + row[:a] + (0,) * c for row in r.basis.entries]
+    rows += [tuple(-y % p for y in row[:b]) + (0,) * a + row[b:] for row in s.basis.entries]
+    reduced = rref(Mat(field, b + a + c, tuple(rows)))
+    kept = tuple(row[b:] for row in reduced.entries if not any(row[:b]))
+    return Subspace(field, a + c, Mat(field, a + c, kept))
+
+
+def _local_transitions(t: Trellis, i: int) -> TransitionSpaces:
+    """T_i and U_i: C_i projected on, and cross-sectioned at, its states."""
+    key = ("local-transitions", i)
+    if key not in t._cache:
+        c = t.constraints[i]
+        cols = [*range(t.state_dims[i]), *range(t.state_out_offset(i), c.ambient_dim)]
+        t._cache[key] = TransitionSpaces(project(c, cols), cross_section(c, cols))
+    return t._cache[key]
+
+
+def _transition_chain(t: Trellis, j: int, length: int) -> tuple[TransitionSpaces, ...]:
+    """T and U of [j, j+L) for L = 0..length at least, each composed from the
+    one before it and the local relations of the next constraint."""
+    key = ("transitions", j)
+    chain = t._cache.get(key)
+    if chain is None:
+        diag = _diagonal(t, j)
+        chain = (TransitionSpaces(diag, diag),)
+    for n in range(len(chain) - 1, length):
+        i = (j + n) % t.m
+        prev, local, b = chain[-1], _local_transitions(t, i), t.state_dims[i]
+        full = compose(prev.full, local.full, b)
+        chain += (TransitionSpaces(full, compose(prev.unobservable, local.unobservable, b)),)
+    t._cache[key] = chain
+    return chain
+
+
+def transition_spaces(t: Trellis, iv: Span) -> TransitionSpaces:
+    """T and U of the interval, read off the transition chain of its start."""
+    if iv.m != t.m:
+        raise ValueError("span axis length does not match the trellis")
+    return _transition_chain(t, iv.start, iv.length)[iv.length]
 
 
 def unobservable_state_space(t: Trellis) -> Subspace:
     """The state configurations carried by all-zero symbol trajectories."""
-    cached = t._cache.get("s_unobs")
-    if cached is not None:
-        return cached
-    b = behavior(t)
-    cols = list(range(t.symbol_total(), t.symbol_total() + t.state_total()))
-    result = cross_section(b, cols)
-    t._cache["s_unobs"] = result
-    return result
+    if "s_unobs" not in t._cache:
+        n = t.symbol_total()
+        t._cache["s_unobs"] = cross_section(behavior(t), list(range(n, n + t.state_total())))
+    return t._cache["s_unobs"]
 
 
 def is_jk_observable(t: Trellis, iv: Span, generalized: bool = False) -> bool:
@@ -133,7 +166,7 @@ def is_jk_observable(t: Trellis, iv: Span, generalized: bool = False) -> bool:
     boundary projection of the unobservable state configuration space instead
     of against zero.
     """
-    u = transition_spaces(fragment(t, iv)).unobservable
+    u = transition_spaces(t, iv).unobservable
     if not generalized:
         return u.is_zero()
     cols = t.state_columns(iv.start, states_only=True)
@@ -144,19 +177,17 @@ def is_jk_observable(t: Trellis, iv: Span, generalized: bool = False) -> bool:
 
 def is_jk_controllable(t: Trellis, iv: Span) -> bool:
     """Interval controllability: every boundary state pair is joined by a path."""
-    return transition_spaces(fragment(t, iv)).full.is_full()
+    return transition_spaces(t, iv).full.is_full()
 
 
 def is_fragment_trim(t: Trellis, iv: Span) -> bool:
     """Every valid path across the fragment extends to a closed trajectory,
     tested as containment of the two complementary transition spaces."""
-    here = transition_spaces(fragment(t, iv)).full
-    there = transition_spaces(fragment(t, iv.complement())).full
+    here = transition_spaces(t, iv).full
+    there = transition_spaces(t, iv.complement()).full
     dj = t.state_dims[iv.start]
     swapped = Subspace.span(
-        t.field,
-        here.ambient_dim,
-        [tuple(row[dj:]) + tuple(row[:dj]) for row in here.basis.entries],
+        t.field, here.ambient_dim, [row[dj:] + row[:dj] for row in here.basis.entries]
     )
     return there.contains_space(swapped)
 
@@ -180,18 +211,11 @@ def check_fragment_duality(t: Trellis, iv: Span) -> FragmentDuality:
     sign-adjusted dual external behavior equals the orthogonal complement of
     the external behavior.  A mismatch indicates a bug and raises."""
     td = dualize(t)
-    prim = fragment(t, iv)
-    dual = fragment(td, iv)
-    dj = t.state_dims[iv.start]
-    dk = t.state_dims[iv.end]
-
-    t_dual = transition_spaces(dual).full
-    lhs = negate_columns(t_dual, range(dj, dj + dk))
-    rhs = orthogonal(transition_spaces(prim).unobservable)
-    na = prim.symbol_width
-    ext_dual_flipped = negate_columns(
-        dual.external_behavior, range(na + dj, na + dj + dk)
-    )
+    prim, dual = fragment(t, iv), fragment(td, iv)
+    dj, dk, na = t.state_dims[iv.start], t.state_dims[iv.end], prim.symbol_width
+    lhs = negate_columns(transition_spaces(td, iv).full, range(dj, dj + dk))
+    rhs = orthogonal(transition_spaces(t, iv).unobservable)
+    ext_dual_flipped = negate_columns(dual.external_behavior, range(na + dj, na + dj + dk))
     ext_ok = ext_dual_flipped == orthogonal(prim.external_behavior)
     result = FragmentDuality(lhs, rhs, ext_ok)
     if not result.holds or not ext_ok:
@@ -212,47 +236,19 @@ class MemoryProfile:
     dual_controllable: dict[int, bool]
 
 
-def _compose_external(
-    t: Trellis, ext: Subspace, na: int, dj: int, dmid: int, i: int
-) -> Subspace:
-    """Join an external behavior (A^w x S_j x S_mid) with constraint C_i over
-    the shared state S_mid, eliminating it."""
-    da = t.symbol_dims[i]
-    dnext = t.state_dims[(i + 1) % t.m]
-    n = na + dj + dmid + da + dnext
-    rows = [list(h) + [0] * (da + dnext) for h in orthogonal(ext).basis.entries]
-    rows += _scatter_checks(t, i, n, (na + dj, na + dj + dmid, na + dj + dmid + da))
-    joint = kernel(Mat.from_rows(t.field, n, rows))
-    keep = list(range(na))
-    keep += list(range(na + dj + dmid, na + dj + dmid + da))
-    keep += list(range(na, na + dj))
-    keep += list(range(na + dj + dmid + da, n))
-    return project(joint, keep)
-
-
 def t_observability_profile(t: Trellis) -> MemoryProfile:
-    """Per-t interval observability and controllability flags, computed by
-    composing adjacent fragments instead of m independent solves."""
+    """Per-t interval observability and controllability flags, read off the
+    transition chains of every start.  The dual's flags compose the dual
+    trellis's own constraints, so they cross-check the primal's by duality."""
 
     def profile(tr: Trellis) -> tuple[dict[int, bool], dict[int, bool]]:
         obs = {length: True for length in range(1, tr.m + 1)}
-        ctr = {length: True for length in range(1, tr.m + 1)}
+        ctr = dict(obs)
         for j in range(tr.m):
-            ext = fragment(tr, Span(j, 1, tr.m)).external_behavior
-            na = tr.symbol_dims[j]
-            dj = tr.state_dims[j]
-            for length in range(1, tr.m + 1):
-                dmid = tr.state_dims[(j + length) % tr.m]
-                cols = list(range(na, na + dj + dmid))
-                u = cross_section(ext, cols)
-                if not u.is_zero():
-                    obs[length] = False
-                if not project(ext, cols).is_full():
-                    ctr[length] = False
-                if length < tr.m:
-                    i = (j + length) % tr.m
-                    ext = _compose_external(tr, ext, na, dj, dmid, i)
-                    na += tr.symbol_dims[i]
+            chain = _transition_chain(tr, j, tr.m)
+            for length in obs:
+                obs[length] = obs[length] and chain[length].unobservable.is_zero()
+                ctr[length] = ctr[length] and chain[length].full.is_full()
         return obs, ctr
 
     obs, ctr = profile(t)

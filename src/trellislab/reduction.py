@@ -48,7 +48,6 @@ from .analysis import (
     property_report,
 )
 from .fragments import (
-    fragment,
     t_observability_profile,
     transition_spaces,
     unobservable_state_space,
@@ -406,8 +405,7 @@ def condition_A(t: Trellis, j: int, tlen: int, witness_pair) -> bool:
         raise ValueError("condition checks need a reduction length of at least 2")
     k = (j + m - tlen) % m
     _, s_k = witness_pair
-    frag = fragment(t, Span(k, tlen - 1, m))
-    trans = transition_spaces(frag).full
+    trans = transition_spaces(t, Span(k, tlen - 1, m)).full
     target = list(s_k) + [0] * t.state_dims[(j - 1) % m]
     return not trans.contains(target)
 
@@ -420,8 +418,7 @@ def condition_A_prime(t: Trellis, j: int, tlen: int, witness_pair) -> bool:
         raise ValueError("condition checks need a reduction length of at least 2")
     k = (j + m - tlen) % m
     s_j, _ = witness_pair
-    frag = fragment(t, Span((k + 1) % m, tlen - 1, m))
-    trans = transition_spaces(frag).full
+    trans = transition_spaces(t, Span((k + 1) % m, tlen - 1, m)).full
     target = [0] * t.state_dims[(k + 1) % m] + list(s_j)
     return not trans.contains(target)
 
@@ -431,8 +428,7 @@ def find_zero_run_witness(t: Trellis, j: int, tlen: int):
     sorted vector order) satisfying Condition A, else the first satisfying
     Condition A'; None if the fragment is observable or no condition holds."""
     m = t.m
-    frag = fragment(t, Span(j, m - tlen, m))
-    u = transition_spaces(frag).unobservable
+    u = transition_spaces(t, Span(j, m - tlen, m)).unobservable
     if u.is_zero():
         return None
     dj = t.state_dims[j]
@@ -589,8 +585,7 @@ def _zero_run_a(
     expanded = zero_run_expand(t, j, tlen, witness_pair)
     last = (j - 1) % m
 
-    frag = fragment(expanded, Span(k, tlen - 1, m))
-    trans = transition_spaces(frag).full
+    trans = transition_spaces(expanded, Span(k, tlen - 1, m)).full
     dk = expanded.state_dims[k]
     dlast = expanded.state_dims[last]
     reach_zero = cross_section(
@@ -876,10 +871,12 @@ def t_irreducibility(t: Trellis, tparam: int) -> IrreducibilityDecision:
     rep = property_report(t)
     if not rep.tpoc:
         raise ValueError("t-irreducibility analysis requires a TPOC trellis")
+    code = realized_code(t)
+    if code.is_zero() or code.is_full():
+        raise ValueError("t-irreducibility analysis requires the code and its dual to be nonzero")
     m = t.m
     if not 1 <= tparam <= m - 1:
         raise ValueError("t parameter out of range")
-    code = realized_code(t)
     chi = span_profile(code).chi
     chi_dual = span_profile(orthogonal(code)).chi
     memory = t_observability_profile(t)
@@ -934,7 +931,7 @@ def t_irreducibility(t: Trellis, tparam: int) -> IrreducibilityDecision:
 
 def _first_unobservable_start(t: Trellis, length: int) -> int:
     for j in range(t.m):
-        u = transition_spaces(fragment(t, Span(j, length, t.m))).unobservable
+        u = transition_spaces(t, Span(j, length, t.m)).unobservable
         if not u.is_zero():
             return j
     raise ValueError(f"no unobservable fragment of length {length}")

@@ -7,12 +7,13 @@ code subspaces use the coordinate order (all symbols a_0..a_{m-1}, then all
 states s_0..s_{m-1}).
 
 Trellis values are immutable; the attached cache only memoizes derived
-immutable values (behavior, dual, fragments), so sharing across threads is
-safe for readers.
+immutable values (behavior, dual, transition relations, fragments), so
+sharing across threads is safe for readers.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
@@ -290,13 +291,17 @@ def _dual_constraint(t: Trellis, i: int) -> Subspace:
 
 def dualize(t: Trellis) -> Trellis:
     """Dual trellis: every constraint replaced by its dual constraint.  An
-    exact involution."""
+    exact involution.  The dual refers back to t only weakly: a trellis and
+    its cached dual form no reference cycle, so both are freed, caches and
+    all, as soon as t is dropped rather than at the next full collection."""
     cached = t._cache.get("dual")
+    if isinstance(cached, weakref.ref):
+        cached = cached()
     if cached is not None:
         return cached
     constraints = tuple(_dual_constraint(t, i) for i in range(t.m))
     result = Trellis(t.field, t.m, t.symbol_dims, t.state_dims, constraints)
-    result._cache["dual"] = t
+    result._cache["dual"] = weakref.ref(t)
     t._cache["dual"] = result
     return result
 

@@ -1,5 +1,5 @@
-from trellislab.galois import GF2, GF3, Subspace
-from trellislab.trellis import Span, Trellis, behavior, realized_code
+from trellislab.galois import GF2, GF3, Subspace, cross_section, project
+from trellislab.trellis import Span, Trellis, behavior, dualize, realized_code
 from trellislab.fragments import (
     check_fragment_duality,
     fragment,
@@ -19,7 +19,7 @@ def test_edge_fragment_is_equality_constraint(figures):
     t = figures["fig1a"]
     frag = fragment(t, Span(2, 0, 3))
     assert frag.external_behavior == Subspace.span(GF2, 4, [[1, 0, 1, 0], [0, 1, 0, 1]])
-    trans = transition_spaces(frag)
+    trans = transition_spaces(t, Span(2, 0, 3))
     assert trans.full == trans.unobservable  # no symbols in the fragment
 
 
@@ -48,6 +48,29 @@ def test_internal_behavior_matches_path_enumeration(figures):
             assert got == want
 
 
+def test_transition_spaces_match_path_enumeration(figures, random_set):
+    # T is the set of boundary pairs of all paths and U that of the
+    # zero-symbol paths, on every interval, by branch walking only
+    checked = 0
+    for t in list(figures.values()) + random_set[:40]:
+        for tr in (t, dualize(t)):
+            for j in range(tr.m):
+                for length in range(tr.m + 1):
+                    iv = Span(j, length, tr.m)
+                    trans = transition_spaces(tr, iv)
+                    last = sum(tr.state_dims[(j + u) % tr.m] for u in range(length))
+                    full, unobs = set(), set()
+                    for syms, states in oracles.enumerate_fragment_paths(tr, j, length):
+                        pair = states[: tr.state_dims[j]] + states[last:]
+                        full.add(pair)
+                        if not any(syms):
+                            unobs.add(pair)
+                    assert oracles.subspace_set(trans.full) == full
+                    assert oracles.subspace_set(trans.unobservable) == unobs
+                    checked += 1
+    assert checked > 1000
+
+
 def test_whole_axis_fragment_larger_than_behavior(figures):
     t = figures["fig1a"]
     frag = fragment(t, Span(0, 3, 3))
@@ -57,20 +80,20 @@ def test_whole_axis_fragment_larger_than_behavior(figures):
 def test_transition_spaces_nesting(figures, random_set):
     for t in list(figures.values()) + random_set[:40]:
         for length in range(t.m + 1):
-            frag = fragment(t, Span(0, length, t.m))
-            trans = transition_spaces(frag)
+            iv = Span(0, length, t.m)
+            trans = transition_spaces(t, iv)
             total, inter = trans.full, trans.unobservable
             assert total.contains_space(inter)
-            if frag.symbol_width == 0:
+            if not any(t.symbol_dims[i] for i in iv.times()):
                 assert total == inter
 
 
 def test_unobservable_fragment_of_bcjr_example(figures):
     fig3a = figures["fig3a"]
-    u = transition_spaces(fragment(fig3a, Span(0, 3, 5))).unobservable
+    u = transition_spaces(fig3a, Span(0, 3, 5)).unobservable
     assert u.dim == 1
     # the all-zero run extends across one more constraint
-    u4 = transition_spaces(fragment(fig3a, Span(0, 4, 5))).unobservable
+    u4 = transition_spaces(fig3a, Span(0, 4, 5)).unobservable
     assert u4.dim == 1
 
 
@@ -167,15 +190,19 @@ def test_memory_profile_examples(figures):
 
 
 def test_memory_profile_matches_direct_fragments(figures, random_set):
+    # the reference reads T and U off each fragment's external behavior,
+    # independently of the composed transition relations behind the profile
     for t in [figures["fig1a"], figures["fig3a"]] + random_set[:25]:
         prof = t_observability_profile(t)
         for length in range(1, t.m + 1):
-            want_obs = all(
-                is_jk_observable(t, Span(j, length, t.m)) for j in range(t.m)
-            )
-            want_ctr = all(
-                is_jk_controllable(t, Span(j, length, t.m)) for j in range(t.m)
-            )
+            want_obs = want_ctr = True
+            for j in range(t.m):
+                iv = Span(j, length, t.m)
+                frag = fragment(t, iv)
+                na = frag.symbol_width
+                cols = range(na, na + t.state_dims[j] + t.state_dims[iv.end])
+                want_obs &= cross_section(frag.external_behavior, cols).is_zero()
+                want_ctr &= project(frag.external_behavior, cols).is_full()
             assert prof.observable[length] == want_obs
             assert prof.controllable[length] == want_ctr
 

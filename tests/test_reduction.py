@@ -2,6 +2,7 @@ import pytest
 
 from trellislab.galois import GF2, Subspace, orthogonal
 from trellislab.trellis import (
+    Trellis,
     behavior,
     dualize,
     is_isomorphic,
@@ -450,6 +451,16 @@ def test_t_irreducibility_examples(figures):
         t_irreducibility(figures["fig2a"], 1)  # not TPOC
 
 
+def test_t_irreducibility_needs_nonzero_code_and_dual():
+    # TPOC trellises with trivial states: the zero code, and the full code
+    # whose dual is zero; neither has the spans the decision is made from
+    for make in (Subspace.zero, Subspace.full):
+        t = Trellis(GF2, 3, (1, 1, 1), (0, 0, 0), tuple(make(GF2, 1) for _ in range(3)))
+        assert property_report(t).tpoc
+        with pytest.raises(ValueError, match="the code and its dual to be nonzero"):
+            t_irreducibility(t, 1)
+
+
 def test_t_irreducibility_reducible_cases(figures):
     fig3a = figures["fig3a"]
     dec = t_irreducibility(fig3a, 1)
@@ -507,6 +518,43 @@ def test_driver_monotone_and_code_preserving(figures, random_set):
             assert realized_code(step.result) == realized_code(step.input)
             if step.strict:
                 assert sum(step.after_state_dims) < sum(step.before_state_dims)
+
+
+# sha256 of json.dumps(reduce_driver(t).records(), sort_keys=True) for each
+# corpus entry, as first recorded; "4f53cd..." is the digest of "[]".
+DRIVER_RECORD_DIGESTS = {
+    "fig10a": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "fig10b": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "fig12a": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "fig12b": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "fig14a": "580792ff6a251c05db9ece40fe5d70941afbf32bd2b7a2bd5ecfe836d200e1b4",
+    "fig14b": "362b34860982678f29c9d6219088735dd1e878f73ebbae3610375239f95e21df",
+    "fig1a": "95e660678d3a420ac09aa22eac152c6e26ac2d34b2f76aa912d8ee417633373f",
+    "fig1b": "49febfc69c557b753872b1b09fc7fca45e94b487d3597fb7b2d3e4f5121cc858",
+    "fig2a": "27766004253e2ddf06eae28189cb2af8fbee53bf7ed587ac1eedf8056712abcf",
+    "fig2b": "5aa4ed176a29911108eb3cc07a0da326f7dd441eb4da890dd474f798aa40a962",
+    "fig3a": "a47c14399b0f55d7f2bd055659d936489de4015a0f954f21ba778c707f3cae79",
+    "fig3b": "21b7e6b2aefdb2e7f547ce38ac3b9f17126174b722bbfd2e2bbd5612e9bd306a",
+    "fig4a": "0d093ffb6c33b21dc4da50b7ae712fb2d3ce05bb1855c0919a25fb42c7d35b4c",
+    "fig4b": "723225267865c74dde4ae0b1031b640d8ecb7dc7cc4e9bc796ccba22c86cc307",
+    "fig5a": "74c0d0552e875317c83c588ad5ed78297ab3a0fc8077c6146460220ff373c255",
+    "fig5b": "63602372d5cdd5e467b549325b5b40788a6d42484d208011357fed6b8c886b81",
+    "fig6": "7608ddf19fc32235becb320b6c4cbcb06e9a39c862876fc1133381b834e13c06",
+    "fig7": "41275cc2bd8e4fef373aa64269772c85f08cc92c6c4899790bc8fc85ca28ab0c",
+    "fig8": "57d551b3d81af19a6896397741e9d345de7f6d6ac299aab3ddfb0bd5937cfd2d",
+    "fig9": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "sec8-chain-example": "5f1b1367f7c5b5575c49e6636b6e37dfbf53676e69668607b69d090f4c94b2d7",
+}
+
+
+def test_driver_step_records_pinned_on_corpus(figures):
+    import hashlib
+    import json
+
+    assert set(DRIVER_RECORD_DIGESTS) == set(figures)
+    for name, t in figures.items():
+        records = json.dumps(reduce_driver(t).records(), sort_keys=True)
+        assert hashlib.sha256(records.encode()).hexdigest() == DRIVER_RECORD_DIGESTS[name], name
 
 
 def test_replay_reproduces_results(figures):

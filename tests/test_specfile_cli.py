@@ -102,6 +102,22 @@ def test_negative_dims_fail_closed(tmp_path):
     assert result.stderr == f"error: {path}: line 3: symbol-dims must not be negative\n"
 
 
+def test_unreadable_input_fails_closed(tmp_path):
+    # a directory, and a file that is not UTF-8 text: an error line, no traceback
+    binary = tmp_path / "binary.trellis"
+    binary.write_bytes(b"field 2\n\xff\xfe\n")
+    src = Path(specfile.__file__).resolve().parents[1]
+    for path, reason in ((tmp_path, "Is a directory"), (binary, "can't decode byte 0xff")):
+        result = subprocess.run(
+            [sys.executable, "-m", "trellislab.cli", "analyze", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {path}: ")
+        assert reason in result.stderr and "Traceback" not in result.stderr
+
 def test_render_deterministic_and_styled(figures):
     t = figures["fig1a"]
     dot = render.to_dot(t)
