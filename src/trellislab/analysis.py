@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .galois import Subspace, cross_section, project
+from .galois import Mat, Subspace, cross_section, project, rank
 from .trellis import Trellis, behavior, dualize, realized_code
 from .fragments import unobservable_state_space
 
@@ -27,10 +27,18 @@ def _adjacent_onto_state(t: Trellis, i: int, op) -> tuple[Subspace, Subspace]:
 
 def local_flags(t: Trellis, i: int) -> tuple[bool, bool]:
     """(trim at S_i, proper at S_i): both adjacent constraints project onto
-    S_i, and neither has a branch supported on S_i alone."""
-    p_in, p_out = _adjacent_onto_state(t, i, project)
-    x_in, x_out = _adjacent_onto_state(t, i, cross_section)
-    return p_in.is_full() and p_out.is_full(), x_in.is_zero() and x_out.is_zero()
+    S_i (their S_i columns have rank dim S_i), and neither has a branch
+    supported on S_i alone (their other columns keep rank dim C)."""
+    prev, d = (i - 1) % t.m, t.state_dims[i]
+    lo = t.state_out_offset(prev)
+    sides = ((t.constraints[prev], range(lo, lo + d)), (t.constraints[i], range(d)))
+    trim = all(_column_rank(c, on) == d for c, on in sides)
+    rest = [(c, [k for k in range(c.ambient_dim) if k not in on]) for c, on in sides]
+    return trim, all(_column_rank(c, off) == c.dim for c, off in rest)
+
+
+def _column_rank(s: Subspace, cols) -> int:
+    return rank(Mat(s.field, len(cols), tuple(tuple(row[k] for k in cols) for row in s.basis.entries)))
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,11 @@ def controllability_audit(t: Trellis) -> ControlAudit:
             "controllability dimension test disagrees with dual observability"
         )
     return audit
+
+
+def is_tpoc(t: Trellis) -> bool:
+    """`PropertyReport.tpoc` without the report's costlier properties."""
+    return all(all(local_flags(t, i)) for i in range(t.m)) and observable(t) and controllable(t)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,12 @@ projected on its (state-in | state-out) coordinates, U_i is C_i's
 cross-section there, and the empty interval gives the diagonal of S_j.
 s_k is a separate coordinate block even when the interval is the whole axis.
 
-Cache keys in `Trellis._cache` (entries are immutable once stored; a racing
-writer only repeats work):
-  ("local-transitions", i)  T_i and U_i of constraint i;
-  ("transitions", j)        T and U of [j, j+L) for L = 0, 1, ..., a tuple
-                            of prefix compositions grown on demand up to m;
+T_i and U_i are kept in the constraint's `Subspace.memo`.  Cache keys in
+`Trellis._cache` (entries are immutable once stored; a racing writer only
+repeats work):
+  ("transitions", j, part)  T (part "full") or U ("unobservable") of
+                            [j, j+L) for L = 0, 1, ..., a tuple of prefix
+                            compositions grown on demand up to m;
   "s_unobs"                 the unobservable state configuration space;
   ("fragment", j, L)        a `Fragment`.
 
@@ -116,38 +117,40 @@ def compose(r: Subspace, s: Subspace, b: int) -> Subspace:
     return Subspace(field, a + c, Mat(field, a + c, kept))
 
 
-def _local_transitions(t: Trellis, i: int) -> TransitionSpaces:
-    """T_i and U_i: C_i projected on, and cross-sectioned at, its states."""
-    key = ("local-transitions", i)
-    if key not in t._cache:
-        c = t.constraints[i]
-        cols = [*range(t.state_dims[i]), *range(t.state_out_offset(i), c.ambient_dim)]
-        t._cache[key] = TransitionSpaces(project(c, cols), cross_section(c, cols))
-    return t._cache[key]
+def _local_relation(t: Trellis, i: int, part: str) -> Subspace:
+    """T_i ("full") or U_i ("unobservable"): C_i projected on, or
+    cross-sectioned at, its (state-in | state-out) coordinates."""
+    c, d, off = t.constraints[i], t.state_dims[i], t.state_out_offset(i)
+    key = ("local-transitions", d, off, part)
+    if key not in c.memo:
+        cols = [*range(d), *range(off, c.ambient_dim)]
+        c.memo[key] = (project if part == "full" else cross_section)(c, cols)
+    return c.memo[key]
 
 
-def _transition_chain(t: Trellis, j: int, length: int) -> tuple[TransitionSpaces, ...]:
-    """T and U of [j, j+L) for L = 0..length at least, each composed from the
-    one before it and the local relations of the next constraint."""
-    key = ("transitions", j)
-    chain = t._cache.get(key)
-    if chain is None:
-        diag = _diagonal(t, j)
-        chain = (TransitionSpaces(diag, diag),)
+def _relation_chain(t: Trellis, j: int, length: int, part: str) -> tuple[Subspace, ...]:
+    """T ("full") or U ("unobservable") of [j, j+L) for L = 0..length at
+    least, each composed from the one before and the next local relation;
+    kept apart, so a query for U never composes the wider T."""
+    key = ("transitions", j, part)
+    chain = t._cache.get(key) or (_diagonal(t, j),)
     for n in range(len(chain) - 1, length):
         i = (j + n) % t.m
-        prev, local, b = chain[-1], _local_transitions(t, i), t.state_dims[i]
-        full = compose(prev.full, local.full, b)
-        chain += (TransitionSpaces(full, compose(prev.unobservable, local.unobservable, b)),)
+        chain += (compose(chain[-1], _local_relation(t, i, part), t.state_dims[i]),)
     t._cache[key] = chain
     return chain
 
 
-def transition_spaces(t: Trellis, iv: Span) -> TransitionSpaces:
-    """T and U of the interval, read off the transition chain of its start."""
+def transition_relation(t: Trellis, iv: Span, part: str) -> Subspace:
+    """T (`part` "full") or U ("unobservable") of the interval."""
     if iv.m != t.m:
         raise ValueError("span axis length does not match the trellis")
-    return _transition_chain(t, iv.start, iv.length)[iv.length]
+    return _relation_chain(t, iv.start, iv.length, part)[iv.length]
+
+
+def transition_spaces(t: Trellis, iv: Span) -> TransitionSpaces:
+    """T and U of the interval."""
+    return TransitionSpaces(*(transition_relation(t, iv, part) for part in ("full", "unobservable")))
 
 
 def unobservable_state_space(t: Trellis) -> Subspace:
@@ -166,7 +169,7 @@ def is_jk_observable(t: Trellis, iv: Span, generalized: bool = False) -> bool:
     boundary projection of the unobservable state configuration space instead
     of against zero.
     """
-    u = transition_spaces(t, iv).unobservable
+    u = transition_relation(t, iv, "unobservable")
     if not generalized:
         return u.is_zero()
     cols = t.state_columns(iv.start, states_only=True)
@@ -177,14 +180,14 @@ def is_jk_observable(t: Trellis, iv: Span, generalized: bool = False) -> bool:
 
 def is_jk_controllable(t: Trellis, iv: Span) -> bool:
     """Interval controllability: every boundary state pair is joined by a path."""
-    return transition_spaces(t, iv).full.is_full()
+    return transition_relation(t, iv, "full").is_full()
 
 
 def is_fragment_trim(t: Trellis, iv: Span) -> bool:
     """Every valid path across the fragment extends to a closed trajectory,
     tested as containment of the two complementary transition spaces."""
-    here = transition_spaces(t, iv).full
-    there = transition_spaces(t, iv.complement()).full
+    here = transition_relation(t, iv, "full")
+    there = transition_relation(t, iv.complement(), "full")
     dj = t.state_dims[iv.start]
     swapped = Subspace.span(
         t.field, here.ambient_dim, [row[dj:] + row[:dj] for row in here.basis.entries]
@@ -213,8 +216,8 @@ def check_fragment_duality(t: Trellis, iv: Span) -> FragmentDuality:
     td = dualize(t)
     prim, dual = fragment(t, iv), fragment(td, iv)
     dj, dk, na = t.state_dims[iv.start], t.state_dims[iv.end], prim.symbol_width
-    lhs = negate_columns(transition_spaces(td, iv).full, range(dj, dj + dk))
-    rhs = orthogonal(transition_spaces(t, iv).unobservable)
+    lhs = negate_columns(transition_relation(td, iv, "full"), range(dj, dj + dk))
+    rhs = orthogonal(transition_relation(t, iv, "unobservable"))
     ext_dual_flipped = negate_columns(dual.external_behavior, range(na + dj, na + dj + dk))
     ext_ok = ext_dual_flipped == orthogonal(prim.external_behavior)
     result = FragmentDuality(lhs, rhs, ext_ok)
@@ -245,10 +248,11 @@ def t_observability_profile(t: Trellis) -> MemoryProfile:
         obs = {length: True for length in range(1, tr.m + 1)}
         ctr = dict(obs)
         for j in range(tr.m):
-            chain = _transition_chain(tr, j, tr.m)
+            full = _relation_chain(tr, j, tr.m, "full")
+            unobs = _relation_chain(tr, j, tr.m, "unobservable")
             for length in obs:
-                obs[length] = obs[length] and chain[length].unobservable.is_zero()
-                ctr[length] = ctr[length] and chain[length].full.is_full()
+                obs[length] = obs[length] and unobs[length].is_zero()
+                ctr[length] = ctr[length] and full[length].is_full()
         return obs, ctr
 
     obs, ctr = profile(t)

@@ -10,6 +10,7 @@ library testable by plain equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Sequence
 
@@ -216,6 +217,12 @@ class Subspace:
     def sorted_vectors(self) -> list[tuple[int, ...]]:
         return sorted(self.vectors())
 
+    @cached_property
+    def memo(self) -> dict:
+        """Values derived from this subspace alone, kept with it: a constraint
+        shared by successive trellises of a reduction is worked on once."""
+        return {}
+
 
 def kernel(m: Mat) -> Subspace:
     """Right kernel {x : m x^T = 0}, returned as a subspace of row vectors."""
@@ -235,33 +242,25 @@ def kernel(m: Mat) -> Subspace:
 
 def orthogonal(s: Subspace) -> Subspace:
     """Orthogonal complement under the standard inner product."""
-    return kernel(s.basis)
+    if "orthogonal" not in s.memo:
+        s.memo["orthogonal"] = kernel(s.basis)
+    return s.memo["orthogonal"]
 
 
 def lattice(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
-    """Sum and intersection of two subspaces of a common ambient space.
-
-    The sum is the row space of the stacked bases.  The intersection uses
-    the kernel construction: coefficient pairs (u, v) with u A + v B = 0
-    give intersection elements u A.
-    """
+    """Sum and intersection of two subspaces of a common ambient space, by
+    Zassenhaus's method: in the RREF of the rows (u | u), u in a's basis,
+    and (v | 0), v in b's, the left halves of the rows span a + b, and the
+    right halves of the rows whose left half vanishes span a ∩ b.  Both are
+    read off already canonical."""
     if a.ambient_dim != b.ambient_dim or a.field != b.field:
         raise ValueError("ambient mismatch")
     field, n = a.field, a.ambient_dim
-    total = Subspace.span(field, n, list(a.basis.entries) + list(b.basis.entries))
-    stacked = Mat.from_rows(field, n, list(a.basis.entries) + list(b.basis.entries))
-    coeffs = kernel(stacked.transpose())
-    p = field.p
-    inter_vecs = []
-    for cv in coeffs.basis.entries:
-        u = cv[: a.dim]
-        v = [0] * n
-        for c, row in zip(u, a.basis.entries):
-            if c:
-                v = [(x + c * y) % p for x, y in zip(v, row)]
-        inter_vecs.append(v)
-    inter = Subspace.span(field, n, inter_vecs)
-    return total, inter
+    rows = [row + row for row in a.basis.entries] + [row + (0,) * n for row in b.basis.entries]
+    reduced = rref(Mat(field, 2 * n, tuple(rows))).entries
+    total = tuple(row[:n] for row in reduced if any(row[:n]))
+    inter = tuple(row[n:] for row in reduced if not any(row[:n]))
+    return Subspace(field, n, Mat(field, n, total)), Subspace(field, n, Mat(field, n, inter))
 
 
 def complement(s: Subspace, within: Subspace) -> Subspace:
@@ -296,22 +295,16 @@ def project(s: Subspace, cols: Sequence[int]) -> Subspace:
     return Subspace.span(s.field, len(cols), rows)
 
 
-def coordinate_space(field: FieldSpec, n: int, cols: Sequence[int]) -> Subspace:
-    """Span of the unit vectors at the listed coordinates."""
-    vecs = []
-    for c in cols:
-        v = [0] * n
-        v[c] = 1
-        vecs.append(v)
-    return Subspace.span(field, n, vecs)
-
-
 def cross_section(s: Subspace, cols: Sequence[int]) -> Subspace:
     """Cross-section on the listed coordinates: members vanishing elsewhere,
-    restricted to those coordinates."""
-    axis = coordinate_space(s.field, s.ambient_dim, cols)
-    _, inter = lattice(s, axis)
-    return project(inter, cols)
+    restricted to those coordinates (in the listed order): with the other
+    coordinates first, the RREF rows that vanish on them are its basis."""
+    keep, chosen = list(cols), set(cols)
+    other = [c for c in range(s.ambient_dim) if c not in chosen]
+    rows = tuple(tuple(row[c] for c in other + keep) for row in s.basis.entries)
+    reduced = rref(Mat(s.field, len(other) + len(keep), rows))
+    kept = tuple(row[len(other):] for row in reduced.entries if not any(row[: len(other)]))
+    return Subspace(s.field, len(keep), Mat(s.field, len(keep), kept))
 
 
 def negate_columns(s: Subspace, cols: Sequence[int]) -> Subspace:

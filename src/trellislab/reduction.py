@@ -43,13 +43,13 @@ from .analysis import (
     _adjacent_onto_state,
     controllable,
     global_trim_flags,
+    is_tpoc,
     local_flags,
     observable,
-    property_report,
 )
 from .fragments import (
     t_observability_profile,
-    transition_spaces,
+    transition_relation,
     unobservable_state_space,
 )
 
@@ -405,7 +405,7 @@ def condition_A(t: Trellis, j: int, tlen: int, witness_pair) -> bool:
         raise ValueError("condition checks need a reduction length of at least 2")
     k = (j + m - tlen) % m
     _, s_k = witness_pair
-    trans = transition_spaces(t, Span(k, tlen - 1, m)).full
+    trans = transition_relation(t, Span(k, tlen - 1, m), "full")
     target = list(s_k) + [0] * t.state_dims[(j - 1) % m]
     return not trans.contains(target)
 
@@ -418,7 +418,7 @@ def condition_A_prime(t: Trellis, j: int, tlen: int, witness_pair) -> bool:
         raise ValueError("condition checks need a reduction length of at least 2")
     k = (j + m - tlen) % m
     s_j, _ = witness_pair
-    trans = transition_spaces(t, Span((k + 1) % m, tlen - 1, m)).full
+    trans = transition_relation(t, Span((k + 1) % m, tlen - 1, m), "full")
     target = [0] * t.state_dims[(k + 1) % m] + list(s_j)
     return not trans.contains(target)
 
@@ -428,7 +428,7 @@ def find_zero_run_witness(t: Trellis, j: int, tlen: int):
     sorted vector order) satisfying Condition A, else the first satisfying
     Condition A'; None if the fragment is observable or no condition holds."""
     m = t.m
-    u = transition_spaces(t, Span(j, m - tlen, m)).unobservable
+    u = transition_relation(t, Span(j, m - tlen, m), "unobservable")
     if u.is_zero():
         return None
     dj = t.state_dims[j]
@@ -537,8 +537,7 @@ def zero_run_reduce(
     m = t.m
     if not 2 <= tlen <= m - 1:
         raise ValueError("reduction length must be between 2 and m-1")
-    rep = property_report(t)
-    if not rep.tpoc:
+    if not is_tpoc(t):
         raise ValueError("zero-run reduction requires a TPOC trellis")
     found = find_zero_run_witness(t, j, tlen)
     if found is None:
@@ -585,7 +584,7 @@ def _zero_run_a(
     expanded = zero_run_expand(t, j, tlen, witness_pair)
     last = (j - 1) % m
 
-    trans = transition_spaces(expanded, Span(k, tlen - 1, m)).full
+    trans = transition_relation(expanded, Span(k, tlen - 1, m), "full")
     dk = expanded.state_dims[k]
     dlast = expanded.state_dims[last]
     reach_zero = cross_section(
@@ -868,8 +867,7 @@ def t_irreducibility(t: Trellis, tparam: int) -> IrreducibilityDecision:
     """Decide t-irreducibility through interval observability, constructing
     the dictated reduction when the trellis is reducible inside the span
     window; outside the window only the sufficient condition is reported."""
-    rep = property_report(t)
-    if not rep.tpoc:
+    if not is_tpoc(t):
         raise ValueError("t-irreducibility analysis requires a TPOC trellis")
     code = realized_code(t)
     if code.is_zero() or code.is_full():
@@ -931,7 +929,7 @@ def t_irreducibility(t: Trellis, tparam: int) -> IrreducibilityDecision:
 
 def _first_unobservable_start(t: Trellis, length: int) -> int:
     for j in range(t.m):
-        u = transition_spaces(t, Span(j, length, t.m)).unobservable
+        u = transition_relation(t, Span(j, length, t.m), "unobservable")
         if not u.is_zero():
             return j
     raise ValueError(f"no unobservable fragment of length {length}")

@@ -285,8 +285,10 @@ def _dual_constraint(t: Trellis, i: int) -> Subspace:
     """The normal-realization dual of C_i: its orthogonal complement with the
     sign of each outgoing state coordinate inverted.  An involution, so it
     also recovers C_i from the dual trellis's constraint."""
-    c = t.constraints[i]
-    return negate_columns(orthogonal(c), range(t.state_out_offset(i), c.ambient_dim))
+    c, off = t.constraints[i], t.state_out_offset(i)
+    if ("dual-constraint", off) not in c.memo:
+        c.memo["dual-constraint", off] = negate_columns(orthogonal(c), range(off, c.ambient_dim))
+    return c.memo["dual-constraint", off]
 
 
 def dualize(t: Trellis) -> Trellis:

@@ -1,6 +1,6 @@
 import pytest
 
-from trellislab.galois import GF2, Subspace, cross_section
+from trellislab.galois import GF2, Subspace, cross_section, project
 from trellislab.trellis import Span, Trellis, behavior, dualize, realized_code
 from trellislab.analysis import (
     classify_chain,
@@ -83,6 +83,19 @@ def test_controllability_dimension_test_matches_enumeration(random_set):
         audit = controllability_audit(t)
         assert audit.total_constraint_dim <= audit.behavior_dim + audit.total_state_dim
         assert audit.controllable == brute_observable(dualize(t))
+
+
+def test_local_flags_match_projection_definitions(figures, random_set):
+    """The rank tests agree with the definitions: both adjacent constraints
+    project onto S_i, and neither has a branch on S_i alone."""
+    for t in [*figures.values(), *random_set]:
+        for i in range(t.m):
+            prev, d = (i - 1) % t.m, t.state_dims[i]
+            lo = t.state_out_offset(prev)
+            sides = ((t.constraints[prev], list(range(lo, lo + d))), (t.constraints[i], list(range(d))))
+            trim = all(project(c, cols).is_full() for c, cols in sides)
+            proper = all(cross_section(c, cols).is_zero() for c, cols in sides)
+            assert local_flags(t, i) == (trim, proper)
 
 
 def test_trim_proper_duality(random_set):

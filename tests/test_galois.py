@@ -185,6 +185,43 @@ def test_projection_and_cross_section():
     assert cs == Subspace.span(GF2, 2, [[1, 1]])
 
 
+def test_cross_section_matches_enumeration():
+    """One elimination with the other columns first gives the members that
+    vanish off the listed columns, in the listed order."""
+    rng = random.Random(77)
+    for field in (GF2, GF3):
+        for _ in range(300):
+            n = rng.randrange(0, 7)
+            rows = [[rng.randrange(field.p) for _ in range(n)] for _ in range(rng.randrange(0, n + 2))]
+            s = Subspace.span(field, n, rows)
+            cols = rng.sample(range(n), rng.randrange(0, n + 1))
+            other = [c for c in range(n) if c not in cols]
+            want = {tuple(v[c] for c in cols) for v in s.vectors() if not any(v[c] for c in other)}
+            assert set(cross_section(s, cols).vectors()) == want
+
+
+def test_lattice_matches_enumeration():
+    rng = random.Random(78)
+    for field in (GF2, GF3):
+        for _ in range(150):
+            n = rng.randrange(0, 5)
+            a, b = (
+                Subspace.span(field, n, [[rng.randrange(field.p) for _ in range(n)] for _ in range(rng.randrange(0, n + 2))])
+                for _ in range(2)
+            )
+            total, inter = lattice(a, b)
+            va, vb = set(a.vectors()), set(b.vectors())
+            assert set(inter.vectors()) == va & vb
+            assert set(total.vectors()) == {tuple((x + y) % field.p for x, y in zip(u, v)) for u in va for v in vb}
+
+
+def test_orthogonal_is_kept_with_the_subspace():
+    s = Subspace.span(GF3, 4, [[1, 2, 0, 1], [0, 1, 1, 2]])
+    assert orthogonal(s) is orthogonal(s)
+    assert orthogonal(s) == kernel(s.basis)
+    assert orthogonal(s) == orthogonal(Subspace.span(GF3, 4, [[1, 2, 0, 1], [0, 1, 1, 2]]))
+
+
 def test_invert_and_solve():
     m = Mat.from_rows(GF3, 2, [[1, 1], [0, 2]])
     inv = invert(m)
