@@ -42,6 +42,13 @@ def _load(path: str):
         raise SystemExit(f"error: {path}: {exc}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise SystemExit(f"error: {path}: {exc.strerror or exc}")
+
+
 def _parse_interval(text: str, m: int) -> Span:
     try:
         start_text, len_text = text.split(":", 1)
@@ -91,7 +98,7 @@ def cmd_analyze(args) -> int:
             "controllable": {str(k): v for k, v in prof.controllable.items()},
         }
     if args.report:
-        Path(args.report).write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+        _write(args.report, json.dumps(data, indent=1, sort_keys=True) + "\n")
     if args.format == "json":
         print(json.dumps(data, indent=1, sort_keys=True))
         return 0
@@ -129,7 +136,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_dual(args) -> int:
     t = _load(args.file)
-    Path(args.out).write_text(specfile.serialize(dualize(t)))
+    _write(args.out, specfile.serialize(dualize(t)))
     print(f"wrote {args.out}")
     return 0
 
@@ -173,20 +180,16 @@ def cmd_reduce(args) -> int:
                 raise SystemExit("error: zero-run needs an interval start:len")
             iv = _parse_interval(args.method[1], t.m)
             cons, strict = zero_run_reduce(t, iv.start, t.m - iv.length)
-            Path(_conservative_path(args.out)).write_text(
-                specfile.serialize(cons.result)
-            )
+            _write(_conservative_path(args.out), specfile.serialize(cons.result))
             steps, final = [cons, strict], strict.result
         else:
             raise SystemExit(f"error: unknown method {method!r}")
     except ValueError as exc:
         print(f"no applicable method: {exc}")
         return 2
-    Path(args.out).write_text(specfile.serialize(final))
+    _write(args.out, specfile.serialize(final))
     log_path = args.log or (args.out + ".steps.jsonl")
-    with open(log_path, "w") as handle:
-        for step in steps:
-            handle.write(json.dumps(step.record(), sort_keys=True) + "\n")
+    _write(log_path, "".join(json.dumps(step.record(), sort_keys=True) + "\n" for step in steps))
     for step in steps:
         flags = []
         if step.strict:
@@ -201,7 +204,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_render(args) -> int:
     t = _load(args.file)
-    Path(args.out).write_text(render.to_dot(t))
+    _write(args.out, render.to_dot(t))
     print(f"wrote {args.out}")
     return 0
 
@@ -209,7 +212,12 @@ def cmd_render(args) -> int:
 def cmd_verify_corpus(args) -> int:
     directory = Path(args.corpus_dir) if args.corpus_dir else corpus.default_corpus_dir()
     only = set(args.only) if args.only else None
-    results = corpus.verify_corpus(directory, only=only)
+    try:
+        results = corpus.verify_corpus(directory, only=only)
+    except OSError as exc:
+        raise SystemExit(f"error: {exc.filename or directory}: {exc.strerror or exc}")
+    except json.JSONDecodeError as exc:
+        raise SystemExit(f"error: {directory / 'manifests.json'}: {exc}")
     if not results:
         print("no corpus entries selected")
         return 1

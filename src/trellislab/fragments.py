@@ -9,9 +9,11 @@ projected on its (state-in | state-out) coordinates, U_i is C_i's
 cross-section there, and the empty interval gives the diagonal of S_j.
 s_k is a separate coordinate block even when the interval is the whole axis.
 
-T_i and U_i are kept in the constraint's `Subspace.memo`.  Cache keys in
-`Trellis._cache` (entries are immutable once stored; a racing writer only
-repeats work):
+T_i and U_i are kept in C_i's `Subspace.memo` under ("local-transitions", d,
+off, part); `compose` keeps its result for a zero or full r of width a + b in
+the memo of s, under ("compose", "zero" or "full", a, b), for every chain and
+trellis sharing the constraint.  Cache keys in `Trellis._cache` (entries are
+immutable once stored; a racing writer only repeats work):
   ("transitions", j, part)  T (part "full") or U ("unobservable") of
                             [j, j+L) for L = 0, 1, ..., a tuple of prefix
                             compositions grown on demand up to m;
@@ -42,14 +44,10 @@ from .trellis import Span, Trellis, _scatter_checks, behavior, dualize
 
 @dataclass(frozen=True)
 class Fragment:
-    parent: Trellis
+    symbol_width: int
     interval: Span
     internal_behavior: Subspace
     external_behavior: Subspace
-
-    @property
-    def symbol_width(self) -> int:
-        return sum(self.parent.symbol_dims[i] for i in self.interval.times())
 
 
 @dataclass(frozen=True)
@@ -72,9 +70,8 @@ def fragment(t: Trellis, iv: Span) -> Fragment:
         return cached
     if iv.length == 0:
         diag = _diagonal(t, iv.start)
-        frag = Fragment(t, iv, diag, diag)
-        t._cache[key] = frag
-        return frag
+        t._cache[key] = Fragment(0, iv, diag, diag)
+        return t._cache[key]
 
     times = iv.times()
     st_off = [sum(t.symbol_dims[i] for i in times)]
@@ -88,7 +85,7 @@ def fragment(t: Trellis, iv: Span) -> Fragment:
     internal = kernel(Mat.from_rows(t.field, n, rows))
     keep = [*range(sym + t.state_dims[iv.start]), *range(st_off[-1], n)]  # symbols, s_j, s_k
     external = project(internal, keep)
-    frag = Fragment(t, iv, internal, external)
+    frag = Fragment(sym, iv, internal, external)
     t._cache[key] = frag
     return frag
 
@@ -104,12 +101,20 @@ def compose(r: Subspace, s: Subspace, b: int) -> Subspace:
     """The relation {(x, z) : (x, y) in r and (y, z) in s for some y}, where
     y is the last b coordinates of r and the first b of s.
 
-    The rows (y | x | 0) of r's basis and (-y | 0 | z) of s's are brought to
-    RREF together; with the y columns first, the rows that vanish there span
-    exactly the combinations whose y parts cancel.  No dimension is special:
-    a relation of dimension 0 may still be the full space GF(p)^0."""
+    A zero r gives 0^a x cross_section(s, z), a full r GF(p)^a x project(s, z),
+    both canonical as built and kept in s.memo.  Otherwise the rows (y | x | 0)
+    of r's basis and (-y | 0 | z) of s's are reduced together, y columns first:
+    the rows that vanish on y span the combinations whose y parts cancel."""
     field, p = r.field, r.field.p
     a, c = r.ambient_dim - b, s.ambient_dim - b
+    if r.is_zero() or r.is_full():
+        key = ("compose", "zero" if r.is_zero() else "full", a, b)
+        if key not in s.memo:
+            zs = (cross_section if r.is_zero() else project)(s, range(b, b + c))
+            rows = tuple(tuple(int(k == i) for k in range(a + c)) for i in range(a if r.is_full() else 0))
+            rows += tuple((0,) * a + row for row in zs.basis.entries)
+            s.memo[key] = Subspace(field, a + c, Mat(field, a + c, rows))
+        return s.memo[key]
     rows = [row[a:] + row[:a] + (0,) * c for row in r.basis.entries]
     rows += [tuple(-y % p for y in row[:b]) + (0,) * a + row[b:] for row in s.basis.entries]
     reduced = rref(Mat(field, b + a + c, tuple(rows)))

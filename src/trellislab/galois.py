@@ -142,6 +142,18 @@ def rank(m: Mat) -> int:
     return len(pivots)
 
 
+def _is_canonical(rows: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether `rref` returns the rows unchanged: tuples, each with a leading 1
+    right of the one above, and zero in the pivot columns of the rows above."""
+    last = -1
+    for k, row in enumerate(rows):
+        c = row.index(1) if isinstance(row, tuple) and 1 in row else -1
+        if c <= last or any(row[:c]) or any(above[c] for above in rows[:k]):
+            return False
+        last = c
+    return isinstance(rows, tuple)
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace of GF(p)^n held as a canonical RREF basis.
@@ -157,7 +169,7 @@ class Subspace:
     def __post_init__(self) -> None:
         if self.basis.cols != self.ambient_dim:
             raise ValueError("basis width does not match ambient dimension")
-        if self.basis.entries != rref(self.basis).entries:
+        if not _is_canonical(self.basis.entries):
             raise ValueError("basis is not in canonical reduced form")
 
     @classmethod

@@ -1,7 +1,12 @@
-from trellislab.galois import GF2, GF3, Subspace, cross_section, project
+import gc
+import random
+import weakref
+
+from trellislab.galois import GF2, GF3, FieldSpec, Subspace, cross_section, project
 from trellislab.trellis import Span, Trellis, behavior, dualize, realized_code
 from trellislab.fragments import (
     check_fragment_duality,
+    compose,
     fragment,
     is_fragment_trim,
     is_jk_controllable,
@@ -46,6 +51,38 @@ def test_internal_behavior_matches_path_enumeration(figures):
             got = {(v[:na], v[na:]) for v in frag.internal_behavior.vectors()}
             want = set(oracles.enumerate_fragment_paths(t, 0, length))
             assert got == want
+
+
+def test_compose_matches_enumeration():
+    # zero, full and random r, with each of a, b, c sometimes 0, and one s
+    # split at every b; the zero and full cases are read from s.memo on the
+    # second call
+    rng = random.Random(81)
+
+    def rand_space(field, n):
+        rows = [[rng.randrange(field.p) for _ in range(n)] for _ in range(rng.randrange(0, n + 2))]
+        return Subspace.span(field, n, rows)
+
+    checked = {"zero": 0, "full": 0, "random": 0}
+    for field in (GF2, GF3, FieldSpec(5)):
+        for _ in range(20):
+            n, a = rng.randrange(0, 4), rng.randrange(0, 3)
+            s = rand_space(field, n)
+            for b in range(n + 1):
+                by_y = {}
+                for v in oracles.subspace_set(s):
+                    by_y.setdefault(v[:b], []).append(v[b:])
+                for kind in checked:
+                    r = {
+                        "zero": Subspace.zero(field, a + b),
+                        "full": Subspace.full(field, a + b),
+                        "random": rand_space(field, a + b),
+                    }[kind]
+                    want = {v[:a] + z for v in oracles.subspace_set(r) for z in by_y.get(v[a:], ())}
+                    for _ in range(2):
+                        assert oracles.subspace_set(compose(r, s, b)) == want
+                    checked[kind] += 1
+    assert min(checked.values()) > 100
 
 
 def test_transition_spaces_match_path_enumeration(figures, random_set):
@@ -166,6 +203,21 @@ def test_fragment_duality_on_corpus_and_random(figures, random_set):
         for j in range(t.m):
             for length in range(t.m + 1):
                 check_fragment_duality(t, Span(j, length, t.m))
+
+
+def test_fragment_cache_keeps_no_reference_to_its_trellis(figures):
+    # without the cycle collector, a trellis whose fragments were built dies
+    # as soon as it is dropped
+    fig = figures["fig3a"]
+    t = Trellis(fig.field, fig.m, fig.symbol_dims, fig.state_dims, fig.constraints)
+    alive = weakref.ref(t)
+    gc.disable()
+    try:
+        check_fragment_duality(t, Span(0, 2, t.m))
+        del t
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_fragment_duality_gf3_signs():

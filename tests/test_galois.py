@@ -222,6 +222,33 @@ def test_orthogonal_is_kept_with_the_subspace():
     assert orthogonal(s) == orthogonal(Subspace.span(GF3, 4, [[1, 2, 0, 1], [0, 1, 1, 2]]))
 
 
+def test_canonical_check_matches_rref_definition():
+    # the reference definition: a basis is canonical exactly when rref leaves
+    # it unchanged; candidates are random, reduced, and reduced then spoiled
+    rng = random.Random(79)
+    seen = {True: 0, False: 0}
+    for field in (GF2, GF3, FieldSpec(5)):
+        for _ in range(300):
+            n = rng.randrange(0, 6)
+            rows = [[rng.randrange(field.p) * (rng.random() < 0.4) for _ in range(n)] for _ in range(rng.randrange(0, n + 2))]
+            m = Mat.from_rows(field, n, rows)
+            reduced = [list(row) for row in rref(m).entries]
+            spoiled = [row[:] for row in reduced]
+            if spoiled and n:
+                spoiled[rng.randrange(len(spoiled))][rng.randrange(n)] = rng.randrange(field.p)
+            cands = [Mat.from_rows(field, n, c) for c in (rows, reduced, spoiled, reduced[::-1], reduced + [[0] * n])]
+            cands.append(Mat(field, n, tuple(reduced)))  # rows held as lists are not rref's tuples
+            for cand in cands:
+                canonical = rref(cand).entries == cand.entries
+                seen[canonical] += 1
+                if canonical:
+                    assert Subspace(field, n, cand).basis == cand
+                else:
+                    with pytest.raises(ValueError, match="basis is not in canonical reduced form"):
+                        Subspace(field, n, cand)
+    assert min(seen.values()) > 1000
+
+
 def test_invert_and_solve():
     m = Mat.from_rows(GF3, 2, [[1, 1], [0, 2]])
     inv = invert(m)

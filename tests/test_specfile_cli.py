@@ -83,6 +83,16 @@ generators
         specfile.parse("field 2\nlength 2\nsymbol-dims 1 1\nstate-dims 0 0\nconstraint 0\n")
 
 
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    src = Path(specfile.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "trellislab.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
 def test_negative_dims_fail_closed(tmp_path):
     text = "field 2\nlength 2\nsymbol-dims {}\nstate-dims {}\n\nconstraint 0\n\nconstraint 1\n"
     for adims, sdims, where in (("-1 1", "0 0", "line 3: symbol-dims"), ("1 1", "0 -1", "line 4: state-dims")):
@@ -91,13 +101,7 @@ def test_negative_dims_fail_closed(tmp_path):
         assert str(err.value) == f"{where} must not be negative"
     path = tmp_path / "negative.trellis"
     path.write_text(text.format("-1 1", "0 0"))
-    src = Path(specfile.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-m", "trellislab.cli", "analyze", str(path)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    result = _run_cli("analyze", str(path))
     assert result.returncode == 1
     assert result.stderr == f"error: {path}: line 3: symbol-dims must not be negative\n"
 
@@ -106,17 +110,48 @@ def test_unreadable_input_fails_closed(tmp_path):
     # a directory, and a file that is not UTF-8 text: an error line, no traceback
     binary = tmp_path / "binary.trellis"
     binary.write_bytes(b"field 2\n\xff\xfe\n")
-    src = Path(specfile.__file__).resolve().parents[1]
     for path, reason in ((tmp_path, "Is a directory"), (binary, "can't decode byte 0xff")):
-        result = subprocess.run(
-            [sys.executable, "-m", "trellislab.cli", "analyze", str(path)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
+        result = _run_cli("analyze", str(path))
         assert result.returncode == 1
         assert result.stderr.startswith(f"error: {path}: ")
         assert reason in result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["dual", "render", "reduce", "reduce --log", "reduce zero-run", "analyze --report"],
+)
+def test_unwritable_output_fails_closed(tmp_path, command):
+    # an output path that cannot be written: an error line, no traceback
+    missing = tmp_path / "missing" / "out.trellis"
+    out, bad, reason = tmp_path / "out.trellis", missing, "No such file or directory"
+    argv = {
+        "dual": ["dual", corpus_file("fig1a"), str(missing)],
+        "render": ["render", corpus_file("fig1a"), str(missing)],
+        "reduce": ["reduce", corpus_file("fig3a"), str(missing)],
+        "reduce --log": ["reduce", corpus_file("fig3a"), str(out), "--log", str(missing)],
+        "reduce zero-run": ["reduce", corpus_file("fig7"), str(out), "--method", "zero-run", "0:6"],
+        "analyze --report": ["analyze", corpus_file("fig1a"), "--report", str(missing)],
+    }[command]
+    if command == "reduce zero-run":
+        bad, reason = tmp_path / "out-conservative.trellis", "Is a directory"
+        bad.mkdir()
+    result = _run_cli(*argv)
+    assert result.returncode == 1
+    assert result.stderr == f"error: {bad}: {reason}\n"
+
+
+def test_verify_corpus_bad_directory_fails_closed(tmp_path):
+    missing = tmp_path / "missing"
+    result = _run_cli("verify-corpus", "--corpus-dir", str(missing))
+    assert result.returncode == 1
+    assert result.stderr == f"error: {missing / 'manifests.json'}: No such file or directory\n"
+    (tmp_path / "manifests.json").write_text("not json\n")
+    result = _run_cli("verify-corpus", "--corpus-dir", str(tmp_path))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {tmp_path / 'manifests.json'}: Expecting value")
+    assert "Traceback" not in result.stderr
+
 
 def test_render_deterministic_and_styled(figures):
     t = figures["fig1a"]
