@@ -3,6 +3,9 @@
 Controllability is deliberately computed twice, by the total-dimension test
 and by observability of the dual, and the two verdicts are cross-asserted;
 a disagreement is a bug in the linear algebra, not a property of the input.
+
+Cache keys in `Trellis._cache`: "global-trim" (the `GlobalTrim` flags) and
+"property-report" (the `PropertyReport`).
 """
 
 from __future__ import annotations
@@ -57,14 +60,13 @@ class GlobalTrim:
 
 def global_trim_flags(t: Trellis) -> GlobalTrim:
     """Whether every state (resp. branch) lies on a valid trajectory."""
-    b = behavior(t)
-    state_at = tuple(
-        project(b, t.state_columns(i)).is_full() for i in range(t.m)
-    )
-    branch_at = tuple(
-        project(b, t.branch_columns(i)) == t.constraints[i] for i in range(t.m)
-    )
-    return GlobalTrim(state_at, branch_at)
+    if "global-trim" not in t._cache:
+        b = behavior(t)
+        t._cache["global-trim"] = GlobalTrim(
+            tuple(project(b, t.state_columns(i)).is_full() for i in range(t.m)),
+            tuple(project(b, t.branch_columns(i)) == t.constraints[i] for i in range(t.m)),
+        )
+    return t._cache["global-trim"]
 
 
 def observable(t: Trellis) -> bool:
@@ -210,10 +212,12 @@ class PropertyReport:
 
 
 def property_report(t: Trellis) -> PropertyReport:
+    if "property-report" in t._cache:
+        return t._cache["property-report"]
     local = [local_flags(t, i) for i in range(t.m)]
     gt = global_trim_flags(t)
     nontrim, nomerge = merge_trim_status(t)
-    return PropertyReport(
+    t._cache["property-report"] = PropertyReport(
         trim_at=tuple(f[0] for f in local),
         proper_at=tuple(f[1] for f in local),
         state_trim_at=gt.state_trim_at,
@@ -231,6 +235,7 @@ def property_report(t: Trellis) -> PropertyReport:
         behavior_dim=behavior(t).dim,
         code_dim=realized_code(t).dim,
     )
+    return t._cache["property-report"]
 
 
 @dataclass(frozen=True)

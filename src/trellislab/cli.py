@@ -214,10 +214,8 @@ def cmd_verify_corpus(args) -> int:
     only = set(args.only) if args.only else None
     try:
         results = corpus.verify_corpus(directory, only=only)
-    except OSError as exc:
-        raise SystemExit(f"error: {exc.filename or directory}: {exc.strerror or exc}")
-    except json.JSONDecodeError as exc:
-        raise SystemExit(f"error: {directory / 'manifests.json'}: {exc}")
+    except corpus.CorpusError as exc:
+        raise SystemExit(f"error: {exc}")
     if not results:
         print("no corpus entries selected")
         return 1

@@ -32,6 +32,7 @@ from .trellis import (
 from .analysis import FLAG_NAMES, classify_chain, property_report
 from .fragments import is_jk_observable, t_observability_profile
 from .reduction import (
+    _zero_run_sites,
     conventional_trellis,
     expand_step,
     find_zero_run_witness,
@@ -467,8 +468,18 @@ def write_corpus(directory: Path | str) -> None:
     )
 
 
-def load_trellis(directory: Path, filename: str) -> Trellis:
-    return specfile.parse((Path(directory) / filename).read_text())
+class CorpusError(Exception):
+    """A manifest or entry file that cannot be read or understood; the
+    message starts with the file's path."""
+
+
+def _read(path: Path, parse):
+    try:
+        return parse(path.read_text())
+    except OSError as exc:
+        raise CorpusError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # SpecFileError, JSONDecodeError, UnicodeDecodeError
+        raise CorpusError(f"{path}: {exc}") from exc
 
 
 def load_chain(directory: Path, filename: str) -> list[dict]:
@@ -480,19 +491,11 @@ def load_chain(directory: Path, filename: str) -> list[dict]:
 # manifest evaluation
 
 
-def _any_zero_run_witness(t: Trellis) -> bool:
-    td = dualize(t)
-    for tlen in range(2, t.m):
-        for j in range(t.m):
-            if find_zero_run_witness(t, j, tlen) is not None:
-                return True
-            if find_zero_run_witness(td, j, tlen) is not None:
-                return True
-    return False
-
-
-def evaluate_expectation(exp: dict, t: Trellis, directory: Path) -> tuple[bool, str]:
-    """Evaluate one manifest expectation; returns (ok, detail)."""
+def evaluate_expectation(
+    exp: dict, t: Trellis, directory: Path, entries: dict[str, Trellis]
+) -> tuple[bool, str]:
+    """Evaluate one manifest expectation against the entry trellis t; other
+    entries are read from `entries`, by file name.  Returns (ok, detail)."""
     kind = exp["check"]
     if kind == "flag":
         rep = property_report(t)
@@ -521,11 +524,11 @@ def evaluate_expectation(exp: dict, t: Trellis, directory: Path) -> tuple[bool, 
         got = set(realized_code(t).vectors())
         return got == want, f"{len(got)} codewords"
     if kind == "code_equals":
-        other = load_trellis(directory, exp["other"] + ".trellis")
+        other = entries[exp["other"] + ".trellis"]
         ok = realized_code(t) == realized_code(other)
         return ok, f"code equals that of {exp['other']}: {ok}"
     if kind == "code_equals_dual_of":
-        other = load_trellis(directory, exp["other"] + ".trellis")
+        other = entries[exp["other"] + ".trellis"]
         ok = realized_code(t) == orthogonal(realized_code(other))
         return ok, f"code equals the dual of {exp['other']}: {ok}"
     if kind == "chi":
@@ -547,22 +550,17 @@ def evaluate_expectation(exp: dict, t: Trellis, directory: Path) -> tuple[bool, 
         got = found[1] if found else None
         return got == exp["want"], f"witness condition {got}"
     if kind == "no_zero_run_witness":
-        got = not _any_zero_run_witness(t)
+        got = next(_zero_run_sites(t), None) is None
         return got == exp["want"], f"no witness anywhere: {got}"
     if kind == "dual_isomorphic_to":
-        other = load_trellis(directory, exp["want"] + ".trellis")
-        iso = is_isomorphic(dualize(t), other)
+        iso = is_isomorphic(dualize(t), entries[exp["want"] + ".trellis"])
         return iso.isomorphic is True, f"dual isomorphic to {exp['want']}: {iso.isomorphic}"
     if kind == "isomorphic_to":
-        other = load_trellis(directory, exp["want"] + ".trellis")
-        iso = is_isomorphic(t, other)
+        iso = is_isomorphic(t, entries[exp["want"] + ".trellis"])
         return iso.isomorphic is True, f"isomorphic to {exp['want']}: {iso.isomorphic}"
     if kind == "chain":
-        source = load_trellis(directory, exp["source"] + ".trellis")
-        records = load_chain(directory, exp["steps"])
-        got = replay(source, records)
-        want_text = (Path(directory) / (exp["target"] + ".trellis")).read_text()
-        ok = specfile.serialize(got) == want_text
+        got = replay(entries[exp["source"] + ".trellis"], load_chain(directory, exp["steps"]))
+        ok = got == entries[exp["target"] + ".trellis"]
         return ok, f"replay reproduces {exp['target']}: {ok}"
     if kind == "driver_status":
         report = reduce_driver(t)
@@ -606,25 +604,35 @@ class VerifyResult:
 
 
 def verify_corpus(directory: Path | str | None = None, only=None) -> list[VerifyResult]:
+    """Check the selected manifest entries.  Every entry file is parsed once
+    per run, before any check, and checks that name an entry share it; a
+    manifest or entry file that cannot be read or understood raises
+    CorpusError."""
     directory = Path(directory) if directory else default_corpus_dir()
-    manifests = json.loads((directory / "manifests.json").read_text())
+    path = directory / "manifests.json"
+    manifests = _read(path, json.loads)
+    try:
+        listed = [(e["id"], e["file"], [(x, x["check"]) for x in e["expect"]]) for e in manifests]
+        paths = {filename: directory / filename for _, filename, _ in listed}
+        selected = [entry for entry in listed if not only or entry[0] in only]
+    except (TypeError, KeyError):
+        shape = "a list of entries with an id, a file and a list of checks"
+        raise CorpusError(f"{path}: expected {shape}") from None
+    entries = {filename: _read(p, specfile.parse) for filename, p in paths.items()}
     results = []
-    for entry in manifests:
-        if only and entry["id"] not in only:
-            continue
-        t = load_trellis(directory, entry["file"])
+    for entry_id, filename, expectations in selected:
         passed = 0
         failed: list[tuple[str, str]] = []
-        for exp in entry["expect"]:
+        for exp, check in expectations:
             try:
-                ok, detail = evaluate_expectation(exp, t, directory)
+                ok, detail = evaluate_expectation(exp, entries[filename], directory, entries)
             except Exception as exc:
                 ok, detail = False, f"check raised {exc!r}"
             if ok:
                 passed += 1
             else:
-                failed.append((exp["check"], detail))
-        results.append(VerifyResult(entry["id"], passed, failed))
+                failed.append((check, detail))
+        results.append(VerifyResult(entry_id, passed, failed))
     return results
 
 

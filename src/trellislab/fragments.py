@@ -247,7 +247,9 @@ class MemoryProfile:
 def t_observability_profile(t: Trellis) -> MemoryProfile:
     """Per-t interval observability and controllability flags, read off the
     transition chains of every start.  The dual's flags compose the dual
-    trellis's own constraints, so they cross-check the primal's by duality."""
+    trellis's own constraints; by duality the observable flags must equal the
+    dual's controllable ones and the controllable the dual's observable ones,
+    and a mismatch raises."""
 
     def profile(tr: Trellis) -> tuple[dict[int, bool], dict[int, bool]]:
         obs = {length: True for length in range(1, tr.m + 1)}
@@ -262,4 +264,6 @@ def t_observability_profile(t: Trellis) -> MemoryProfile:
 
     obs, ctr = profile(t)
     dobs, dctr = profile(dualize(t))
+    if obs != dctr or ctr != dobs:
+        raise RuntimeError("interval observability disagrees with dual controllability")
     return MemoryProfile(obs, ctr, dobs, dctr)

@@ -36,14 +36,6 @@ class FieldSpec:
         if not is_prime(self.p):
             raise ValueError(f"field modulus must be prime, got {self.p}")
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return pow(a, self.p - 2, self.p)
-
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)

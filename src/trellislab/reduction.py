@@ -249,24 +249,36 @@ def _make_step(
     return step
 
 
+def _restated(
+    step: ReductionStep, t: Trellis, after: Trellis, interval: Span, **params
+) -> ReductionStep:
+    """A step computed on a mirror image of t (its dual or time reversal),
+    restated as a step of t: `after` is its result mapped back to t, and
+    `interval` and `params` are in t's terms."""
+    return _make_step(
+        step.kind, dict(step.params, **params), interval, step.witness, t, after, step.details
+    )
+
+
 def _basis_rows(s: Subspace) -> list[list[int]]:
     return [list(r) for r in s.basis.entries]
 
 
-def trim_step(t: Trellis, i: int, y: Subspace, note: str = "") -> ReductionStep:
-    after = trim_to(t, i, y)
+def _state_step(kind: str, t: Trellis, i: int, y: Subspace, note: str = "") -> ReductionStep:
+    """A trim or merge of S_i by y as a checked step."""
     params = {"time": i % t.m, "basis": _basis_rows(y)}
     if note:
         params["note"] = note
-    return _make_step("trim", params, Span((i - 1) % t.m, min(2, t.m), t.m), None, t, after)
+    after = (trim_to if kind == "trim" else merge_to)(t, i, y)
+    return _make_step(kind, params, Span((i - 1) % t.m, min(2, t.m), t.m), None, t, after)
+
+
+def trim_step(t: Trellis, i: int, y: Subspace, note: str = "") -> ReductionStep:
+    return _state_step("trim", t, i, y, note)
 
 
 def merge_step(t: Trellis, i: int, y: Subspace, note: str = "") -> ReductionStep:
-    after = merge_to(t, i, y)
-    params = {"time": i % t.m, "basis": _basis_rows(y)}
-    if note:
-        params["note"] = note
-    return _make_step("merge", params, Span((i - 1) % t.m, min(2, t.m), t.m), None, t, after)
+    return _state_step("merge", t, i, y, note)
 
 
 def branch_trim_step(t: Trellis, i: int) -> ReductionStep:
@@ -290,11 +302,27 @@ def branch_expand_step(t: Trellis, i: int, new_branches: Subspace) -> ReductionS
 # unobservable trimming
 
 
-def _first_nonzero_time(t: Trellis, config) -> int:
-    """The first time whose block of a state configuration is nonzero."""
-    return next(
-        i for i in range(t.m) if any(config[c] for c in t.state_columns(i, states_only=True))
-    )
+def _unobservable_line(t: Trellis, choose_index: int | None = None):
+    """(idx, witness, sigma, rest): an unobservable state configuration, a time
+    idx where its state sigma is nonzero, and the complement in S_idx of the
+    line through sigma.  The witness is the first canonical basis vector and
+    idx its first nonzero time, unless idx is chosen; then the witness is the
+    first vector in sorted order that is nonzero there."""
+    su = unobservable_state_space(t)
+    if su.is_zero():
+        raise ValueError("trellis is observable; nothing to trim")
+    cols = [t.state_columns(i, states_only=True) for i in range(t.m)]
+    if choose_index is None:
+        witness = su.basis.entries[0]
+        idx = next(i for i in range(t.m) if any(witness[c] for c in cols[i]))
+    else:
+        idx = choose_index % t.m
+        witness = next((v for v in su.sorted_vectors() if any(v[c] for c in cols[idx])), None)
+        if witness is None:
+            raise ValueError(f"no unobservable trajectory is nonzero at time {idx}")
+    sigma = [witness[c] for c in cols[idx]]
+    line = Subspace.span(t.field, t.state_dims[idx], [sigma])
+    return idx, witness, sigma, complement(line, Subspace.full(t.field, t.state_dims[idx]))
 
 
 def unobs_trim(t: Trellis, choose_index: int | None = None) -> ReductionStep:
@@ -303,25 +331,7 @@ def unobs_trim(t: Trellis, choose_index: int | None = None) -> ReductionStep:
     The witness is the canonical-basis unobservable trajectory with the
     earliest nonzero state position unless an index is requested explicitly.
     """
-    su = unobservable_state_space(t)
-    if su.is_zero():
-        raise ValueError("trellis is observable; nothing to trim")
-    if choose_index is None:
-        witness = su.basis.entries[0]
-        idx = _first_nonzero_time(t, witness)
-    else:
-        idx = choose_index % t.m
-        cols = t.state_columns(idx, states_only=True)
-        witness = None
-        for cand in su.sorted_vectors():
-            if any(cand[c] for c in cols):
-                witness = cand
-                break
-        if witness is None:
-            raise ValueError(f"no unobservable trajectory is nonzero at time {idx}")
-    sigma = [witness[c] for c in t.state_columns(idx, states_only=True)]
-    line = Subspace.span(t.field, t.state_dims[idx], [sigma])
-    rest = complement(line, Subspace.full(t.field, t.state_dims[idx]))
+    idx, witness, sigma, rest = _unobservable_line(t, choose_index)
     after = trim_to(t, idx, rest)
     step = _make_step(
         "unobs-trim",
@@ -444,6 +454,16 @@ def find_zero_run_witness(t: Trellis, j: int, tlen: int):
     return None
 
 
+def _zero_run_sites(t: Trellis):
+    """(side, j, tlen) for every zero-run witness of t or of its dual, by
+    increasing tlen, then start j, the primal side before the dual."""
+    for tlen in range(2, t.m):
+        for j in range(t.m):
+            for side in (t, dualize(t)):
+                if find_zero_run_witness(side, j, tlen) is not None:
+                    yield side, j, tlen
+
+
 def zero_run_expand(t: Trellis, j: int, tlen: int, witness_pair) -> Trellis:
     """Adjoin an all-zero-symbol path from the witness end state back to the
     witness start state through fresh one-dimensional state extensions.
@@ -547,32 +567,16 @@ def zero_run_reduce(
     witness_pair, cond = found
     if cond == "A":
         return _zero_run_a(t, j, tlen, witness_pair, cond_label="A")
-    rev = time_reversed(t)
-    len_frag = m - tlen
-    j_rev = (m - (j + len_frag)) % m
+    # A' is Condition A on the time reversal, where the fragment [j, j-tlen)
+    # starts at tlen-j and an interval [s, s+L) is [-s-L, -s) of t.
     rev_pair = (witness_pair[1], witness_pair[0])
-    cons_r, strict_r = _zero_run_a(rev, j_rev, tlen, rev_pair, cond_label="A-prime")
-
-    def back(step: ReductionStep, phase: str) -> ReductionStep:
-        start_r, len_r = step.interval
-        start = (m - (start_r + len_r)) % m
-        after = time_reversed(step.result)
-        return _make_step(
-            "zero-run",
-            {
-                "start": j,
-                "tlen": tlen,
-                "phase": phase,
-                "condition": "A-prime",
-            },
-            Span(start, len_r, m),
-            step.witness,
-            t,
-            after,
-            details=step.details,
+    steps = _zero_run_a(time_reversed(t), (tlen - j) % m, tlen, rev_pair, cond_label="A-prime")
+    return tuple(
+        _restated(
+            s, t, time_reversed(s.result), Span(-sum(s.interval) % m, s.interval[1], m), start=j
         )
-
-    return back(cons_r, "conservative"), back(strict_r, "strict")
+        for s in steps
+    )
 
 
 def _zero_run_a(
@@ -667,18 +671,10 @@ def span_profile(code: Subspace, enumeration_cap: int = 4096) -> SpanProfile:
     m = code.ambient_dim
     if code.dim == 0:
         raise ValueError("the zero code has no spans")
-    p = code.field.p
-    per: list[int | None] = [None] * m
-    if p ** code.dim <= enumeration_cap:
-        for w in code.vectors():
-            support = [q for q, x in enumerate(w) if x]
-            if not support:
-                continue
-            for a in support:
-                r = max((q - a) % m for q in support) + 1
-                if per[a] is None or r < per[a]:
-                    per[a] = r
+    if code.field.p ** code.dim <= enumeration_cap:
+        per, _ = _shortest_spans(code)
     else:
+        per = [None] * m
         for a in range(m):
             for r in range(1, m + 1):
                 window = [(a + u) % m for u in range(r)]
@@ -686,28 +682,25 @@ def span_profile(code: Subspace, enumeration_cap: int = 4096) -> SpanProfile:
                 if cs.dim and project(cs, [0]).is_full():
                     per[a] = r
                     break
-    defined = [r for r in per if r is not None]
-    if not defined:
-        raise ValueError("the zero code has no spans")
-    return SpanProfile(min(defined), tuple(per))
+    return SpanProfile(min(r for r in per if r is not None), tuple(per))
 
 
-def shortest_span_generators(code: Subspace, start: int) -> list[tuple[int, ...]]:
-    """All codewords achieving the shortest span starting at `start`,
-    lexicographically sorted."""
+def _shortest_spans(code: Subspace) -> tuple[list[int | None], list[list[tuple[int, ...]]]]:
+    """For every start a, in one pass over the code: the shortest span length
+    of the codewords nonzero at a, and those codewords of that span starting
+    at a, lexicographically sorted (None and [] where no codeword is)."""
     m = code.ambient_dim
-    prof = span_profile(code)
-    r = prof.per_position[start]
-    if r is None:
-        return []
-    out = []
+    per: list[int | None] = [None] * m
+    words: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
     for w in code.vectors():
-        if not w[start]:
-            continue
         support = [q for q, x in enumerate(w) if x]
-        if max((q - start) % m for q in support) + 1 == r:
-            out.append(w)
-    return sorted(out)
+        for a in support:
+            r = max((q - a) % m for q in support) + 1
+            if per[a] is None or r < per[a]:
+                per[a], words[a] = r, [w]
+            elif r == per[a]:
+                words[a].append(w)
+    return per, [sorted(ws) for ws in words]
 
 
 def kv_trellis(code: Subspace, start_assignment) -> Trellis:
@@ -726,7 +719,7 @@ def kv_trellis(code: Subspace, start_assignment) -> Trellis:
         raise ValueError("code and dual must both have full support")
     gens = []
     ends = []
-    words_at = {a: shortest_span_generators(code, a) for a in set(starts)}
+    _, words_at = _shortest_spans(code)
     for a in starts:
         words = words_at[a]
         if not words:
@@ -765,7 +758,7 @@ def is_kv_trellis(
     kdim = code.dim
     if comb(m, kdim) > subset_cap:
         return None
-    words_at = {a: shortest_span_generators(code, a) for a in range(m)}
+    _, words_at = _shortest_spans(code)
     undecided = False
     for starts in combinations(range(m), kdim):
         dims_at = [0] * m
@@ -960,12 +953,7 @@ def _next_driver_steps(t: Trellis) -> tuple[ReductionStep, ...] | None:
     if not observable(t):
         return (unobs_trim(t),)
     if not controllable(t):
-        td = dualize(t)
-        witness = unobservable_state_space(td).basis.entries[0]
-        idx = _first_nonzero_time(td, witness)
-        sigma = [witness[c] for c in td.state_columns(idx, states_only=True)]
-        line = Subspace.span(t.field, t.state_dims[idx], [sigma])
-        rest = complement(line, Subspace.full(t.field, t.state_dims[idx]))
+        idx, _, _, rest = _unobservable_line(dualize(t))
         return (merge_step(t, idx, orthogonal(rest), note="dual unobservable run"),)
     gt = global_trim_flags(t)
     for i in range(m):
@@ -983,26 +971,12 @@ def _next_driver_steps(t: Trellis) -> tuple[ReductionStep, ...] | None:
     if not gtd.branch_trim:
         two = two_reduction_m1(t)
         return two.primal_steps
-    for tlen in range(2, m):
-        for j in range(m):
-            found = find_zero_run_witness(t, j, tlen)
-            if found is not None:
-                _, strict = zero_run_reduce(t, j, tlen)
-                return (strict,)
-            found_dual = find_zero_run_witness(dualize(t), j, tlen)
-            if found_dual is not None:
-                _, strict = zero_run_reduce(dualize(t), j, tlen)
-                dual_result = dualize(strict.result)
-                mirrored = _make_step(
-                    "zero-run",
-                    dict(strict.params, side="dual"),
-                    Span(strict.interval[0], strict.interval[1], m),
-                    strict.witness,
-                    t,
-                    dual_result,
-                    details=strict.details,
-                )
-                return (mirrored,)
+    for work, j, tlen in _zero_run_sites(t):
+        _, strict = zero_run_reduce(work, j, tlen)
+        if work is t:
+            return (strict,)
+        after = dualize(strict.result)
+        return (_restated(strict, t, after, Span(*strict.interval, m), side="dual"),)
     return None
 
 
@@ -1038,14 +1012,9 @@ def apply_step(t: Trellis, record: dict) -> Trellis:
     kind = record["kind"]
     params = record["params"]
     field_ = t.field
-    if kind == "trim":
+    if kind in ("trim", "merge"):
         y = Subspace.span(field_, t.state_dims[params["time"]], params["basis"])
-        step = trim_step(t, params["time"], y)
-        return step.result
-    if kind == "merge":
-        y = Subspace.span(field_, t.state_dims[params["time"]], params["basis"])
-        step = merge_step(t, params["time"], y)
-        return step.result
+        return _state_step(kind, t, params["time"], y).result
     if kind == "branch-trim":
         return branch_trim_step(t, params["time"]).result
     if kind == "branch-expand":

@@ -2,6 +2,8 @@ import gc
 import random
 import weakref
 
+import pytest
+
 from trellislab.galois import GF2, GF3, FieldSpec, Subspace, cross_section, project
 from trellislab.trellis import Span, Trellis, behavior, dualize, realized_code
 from trellislab.fragments import (
@@ -239,6 +241,16 @@ def test_memory_profile_examples(figures):
     # controllability of the dual
     assert prof3.dual_controllable == prof3.observable
     assert prof3.dual_observable == prof3.controllable
+
+
+def test_memory_profile_cross_check_raises_on_a_wrong_dual(figures, monkeypatch):
+    # fig2a is controllable but not observable, so handed back as its own
+    # dual its observable flags differ from the "dual's" controllable ones
+    t = figures["fig2a"]
+    assert t_observability_profile(t).observable != t_observability_profile(t).controllable
+    monkeypatch.setattr("trellislab.fragments.dualize", lambda tr: tr)
+    with pytest.raises(RuntimeError, match="disagrees with dual controllability"):
+        t_observability_profile(t)
 
 
 def test_memory_profile_matches_direct_fragments(figures, random_set):

@@ -151,6 +151,19 @@ def test_verify_corpus_bad_directory_fails_closed(tmp_path):
     assert result.returncode == 1
     assert result.stderr.startswith(f"error: {tmp_path / 'manifests.json'}: Expecting value")
     assert "Traceback" not in result.stderr
+    (tmp_path / "manifests.json").write_text("[1]\n")
+    result = _run_cli("verify-corpus", "--corpus-dir", str(tmp_path))
+    assert result.returncode == 1
+    assert result.stderr == (
+        f"error: {tmp_path / 'manifests.json'}: "
+        "expected a list of entries with an id, a file and a list of checks\n"
+    )
+    corpus_copy = tmp_path / "corpus"
+    shutil.copytree(default_corpus_dir(), corpus_copy)
+    (corpus_copy / "fig1a.trellis").write_text("garbage\n")
+    result = _run_cli("verify-corpus", "--corpus-dir", str(corpus_copy))
+    assert result.returncode == 1
+    assert result.stderr == f"error: {corpus_copy / 'fig1a.trellis'}: line 1: unknown header line 'garbage'\n"
 
 
 def test_render_deterministic_and_styled(figures):
