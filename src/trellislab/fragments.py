@@ -8,6 +8,9 @@ and U are ordered compositions of per-constraint relations: T_i is C_i
 projected on its (state-in | state-out) coordinates, U_i is C_i's
 cross-section there, and the empty interval gives the diagonal of S_j.
 s_k is a separate coordinate block even when the interval is the whole axis.
+By duality T of t, with its s_k block negated, is the orthogonal complement
+of U of the dual over the same interval; `reduction` decides its zero-run
+conditions A/A' from the dual's U chains this way.
 
 T_i and U_i are kept in C_i's `Subspace.memo` under ("local-transitions", d,
 off, part); `compose` keeps its result for a zero or full r of width a + b in

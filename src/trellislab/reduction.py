@@ -407,38 +407,48 @@ def two_reduction_m1(t: Trellis) -> TwoReduction:
 # zero-run reductions
 
 
+def _zero_run_site(t: Trellis, j: int, tlen: int) -> tuple[int, int]:
+    """(j mod m, k = j - tlen mod m) of a zero-run site; the one range check
+    of the zero-run arguments."""
+    if not 2 <= tlen <= t.m - 1:
+        raise ValueError("reduction length must be between 2 and m-1")
+    return j % t.m, (j - tlen) % t.m
+
+
+def _joins_zero(t: Trellis, start: int, tlen: int, v, at_end: bool) -> bool:
+    """Whether (v, 0), or (0, v) `at_end`, is in T of [start, start+tlen-1).
+    T with its end block negated is U^perp of that interval on the dual, and
+    the sign drops out beside a zero block, so this holds iff v is orthogonal
+    to that block of every basis row of the dual's U."""
+    u = transition_relation(dualize(t), Span(start, tlen - 1, t.m), "unobservable")
+    d = t.state_dims[start]
+    lo, hi = (d, u.ambient_dim) if at_end else (0, d)
+    if len(v) != hi - lo:
+        raise ValueError("vector has wrong length")
+    p = t.field.p
+    return not any(sum(x * y for x, y in zip(v, row[lo:hi])) % p for row in u.basis.entries)
+
+
 def condition_A(t: Trellis, j: int, tlen: int, witness_pair) -> bool:
     """No valid path from the witness end state to the zero state one step
     before the witness start."""
-    m = t.m
-    if tlen < 2:
-        raise ValueError("condition checks need a reduction length of at least 2")
-    k = (j + m - tlen) % m
-    _, s_k = witness_pair
-    trans = transition_relation(t, Span(k, tlen - 1, m), "full")
-    target = list(s_k) + [0] * t.state_dims[(j - 1) % m]
-    return not trans.contains(target)
+    _, k = _zero_run_site(t, j, tlen)
+    return not _joins_zero(t, k, tlen, witness_pair[1], at_end=False)
 
 
 def condition_A_prime(t: Trellis, j: int, tlen: int, witness_pair) -> bool:
     """No valid path from the zero state one step after the witness end to
     the witness start state."""
-    m = t.m
-    if tlen < 2:
-        raise ValueError("condition checks need a reduction length of at least 2")
-    k = (j + m - tlen) % m
-    s_j, _ = witness_pair
-    trans = transition_relation(t, Span((k + 1) % m, tlen - 1, m), "full")
-    target = [0] * t.state_dims[(k + 1) % m] + list(s_j)
-    return not trans.contains(target)
+    _, k = _zero_run_site(t, j, tlen)
+    return not _joins_zero(t, (k + 1) % t.m, tlen, witness_pair[0], at_end=True)
 
 
 def find_zero_run_witness(t: Trellis, j: int, tlen: int):
     """Deterministic witness choice: the first unobservable boundary pair (in
     sorted vector order) satisfying Condition A, else the first satisfying
     Condition A'; None if the fragment is observable or no condition holds."""
-    m = t.m
-    u = transition_relation(t, Span(j, m - tlen, m), "unobservable")
+    j, _ = _zero_run_site(t, j, tlen)
+    u = transition_relation(t, Span(j, t.m - tlen, t.m), "unobservable")
     if u.is_zero():
         return None
     dj = t.state_dims[j]
@@ -470,7 +480,7 @@ def zero_run_expand(t: Trellis, j: int, tlen: int, witness_pair) -> Trellis:
 
     The new coordinate is prepended in every expanded state space."""
     m = t.m
-    k = (j + m - tlen) % m
+    j, k = _zero_run_site(t, j, tlen)
     s_j, s_k = witness_pair
     inner = {(k + u) % m for u in range(1, tlen)}
     sdims = list(t.state_dims)
@@ -530,21 +540,11 @@ def zero_run_expand(t: Trellis, j: int, tlen: int, witness_pair) -> Trellis:
 
 def expand_step(t: Trellis, j: int, tlen: int, witness_pair) -> ReductionStep:
     after = zero_run_expand(t, j, tlen, witness_pair)
-    m = t.m
-    k = (j + m - tlen) % m
-    return _make_step(
-        "expand",
-        {
-            "start": j,
-            "tlen": tlen,
-            "witness_start": list(witness_pair[0]),
-            "witness_end": list(witness_pair[1]),
-        },
-        Span(k, tlen, m),
-        {"start_state": list(witness_pair[0]), "end_state": list(witness_pair[1])},
-        t,
-        after,
-    )
+    j, k = _zero_run_site(t, j, tlen)
+    s_j, s_k = (list(s) for s in witness_pair)
+    params = {"start": j, "tlen": tlen, "witness_start": s_j, "witness_end": s_k}
+    witness = {"start_state": s_j, "end_state": s_k}
+    return _make_step("expand", params, Span(k, tlen, t.m), witness, t, after)
 
 
 def zero_run_reduce(
@@ -555,15 +555,12 @@ def zero_run_reduce(
     the strict conservative (tlen+1)-reduction, both from the given trellis.
     """
     m = t.m
-    if not 2 <= tlen <= m - 1:
-        raise ValueError("reduction length must be between 2 and m-1")
+    j, k = _zero_run_site(t, j, tlen)
     if not is_tpoc(t):
         raise ValueError("zero-run reduction requires a TPOC trellis")
     found = find_zero_run_witness(t, j, tlen)
     if found is None:
-        raise ValueError(
-            f"fragment [{j},{(j + m - tlen) % m}) is observable or lacks a usable witness"
-        )
+        raise ValueError(f"fragment [{j},{k}) is observable or lacks a usable witness")
     witness_pair, cond = found
     if cond == "A":
         return _zero_run_a(t, j, tlen, witness_pair, cond_label="A")
@@ -591,9 +588,7 @@ def _zero_run_a(
     trans = transition_relation(expanded, Span(k, tlen - 1, m), "full")
     dk = expanded.state_dims[k]
     dlast = expanded.state_dims[last]
-    reach_zero = cross_section(
-        trans, list(range(dk, dk + dlast))
-    )
+    reach_zero = cross_section(trans, list(range(dk, dk + dlast)))
     tilde = [1] + [0] * (dlast - 1)
     if reach_zero.contains(tilde):
         raise RuntimeError("adjoined state is reachable from zero; witness unusable")
@@ -621,18 +616,15 @@ def _zero_run_a(
         left_proj = project(current.constraints[idx], list(range(dl)))
         current = trim_to(current, idx, left_proj)
         idx = (idx - 1) % m
-    conservative = _make_step(
-        "zero-run",
-        {"start": j, "tlen": tlen, "phase": "conservative", "condition": cond_label},
-        Span(k, tlen, m),
-        {"start_state": list(s_j), "end_state": list(s_k)},
-        t,
-        current,
-        details={"x_basis": x, "reachable_from_zero": reach_zero},
-    )
-    if any(
-        a > b for a, b in zip(current.state_dims, t.state_dims)
-    ):
+
+    def step(phase: str, interval: Span, after: Trellis) -> ReductionStep:
+        params = {"start": j, "tlen": tlen, "phase": phase, "condition": cond_label}
+        witness = {"start_state": list(s_j), "end_state": list(s_k)}
+        details = {"x_basis": x, "reachable_from_zero": reach_zero}
+        return _make_step("zero-run", params, interval, witness, t, after, details)
+
+    conservative = step("conservative", Span(k, tlen, m), current)
+    if any(a > b for a, b in zip(current.state_dims, t.state_dims)):
         raise RuntimeError("conservative phase must not grow any state space")
 
     dkk = current.state_dims[k]
@@ -640,15 +632,7 @@ def _zero_run_a(
     if keep.contains(list(s_k)):
         raise RuntimeError("witness end state still has outgoing branches")
     final = trim_to(current, k, keep)
-    strict = _make_step(
-        "zero-run",
-        {"start": j, "tlen": tlen, "phase": "strict", "condition": cond_label},
-        Span((k - 1) % m, tlen + 1, m),
-        {"start_state": list(s_j), "end_state": list(s_k)},
-        t,
-        final,
-        details={"x_basis": x, "reachable_from_zero": reach_zero},
-    )
+    strict = step("strict", Span((k - 1) % m, tlen + 1, m), final)
     if not strict.strict or not strict.conservative:
         raise RuntimeError("zero-run must end strict and conservative")
     return conservative, strict
@@ -686,9 +670,12 @@ def span_profile(code: Subspace, enumeration_cap: int = 4096) -> SpanProfile:
 
 
 def _shortest_spans(code: Subspace) -> tuple[list[int | None], list[list[tuple[int, ...]]]]:
-    """For every start a, in one pass over the code: the shortest span length
-    of the codewords nonzero at a, and those codewords of that span starting
-    at a, lexicographically sorted (None and [] where no codeword is)."""
+    """For every start a, in one pass over the code, kept in code.memo: the
+    shortest span length of the codewords nonzero at a, and those codewords
+    of that span starting at a, lexicographically sorted (None and [] where
+    no codeword is)."""
+    if "shortest-spans" in code.memo:
+        return code.memo["shortest-spans"]
     m = code.ambient_dim
     per: list[int | None] = [None] * m
     words: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
@@ -700,7 +687,8 @@ def _shortest_spans(code: Subspace) -> tuple[list[int | None], list[list[tuple[i
                 per[a], words[a] = r, [w]
             elif r == per[a]:
                 words[a].append(w)
-    return per, [sorted(ws) for ws in words]
+    code.memo["shortest-spans"] = per, [sorted(ws) for ws in words]
+    return code.memo["shortest-spans"]
 
 
 def kv_trellis(code: Subspace, start_assignment) -> Trellis:
