@@ -19,7 +19,8 @@ trellis sharing the constraint.  Cache keys in `Trellis._cache` (entries are
 immutable once stored; a racing writer only repeats work):
   ("transitions", j, part)  T (part "full") or U ("unobservable") of
                             [j, j+L) for L = 0, 1, ..., a tuple of prefix
-                            compositions grown on demand up to m;
+                            compositions grown on demand up to m (the
+                            t-profile grows each only up to its threshold);
   "s_unobs"                 the unobservable state configuration space;
   ("fragment", j, L)        a `Fragment`.
 
@@ -252,18 +253,26 @@ def t_observability_profile(t: Trellis) -> MemoryProfile:
     transition chains of every start.  The dual's flags compose the dual
     trellis's own constraints; by duality the observable flags must equal the
     dual's controllable ones and the controllable the dual's observable ones,
-    and a mismatch raises."""
+    and a mismatch raises.
+
+    Both flags are monotone in the length L >= 1, for any linear trellis.  If
+    every U of length L is zero, a zero-symbol path over [j, j+L+1) restricts
+    to ones over [j, j+L) and [j+1, j+L+1), so both its ends are zero.  If
+    every T of length L is full, x in S_j has a branch to some y, and the full
+    T[j+1, j+L+1) joins y to every z.  So each side and part has one
+    threshold, the least L at which every start holds (m + 1 if none does),
+    found by growing each start's chain only up to the length being tried."""
+
+    def flags(tr: Trellis, part: str, holds) -> dict[int, bool]:
+        lengths = range(1, tr.m + 1)
+        threshold = next(
+            (n for n in lengths if all(holds(_relation_chain(tr, j, n, part)[n]) for j in range(tr.m))),
+            tr.m + 1,
+        )
+        return {n: n >= threshold for n in lengths}
 
     def profile(tr: Trellis) -> tuple[dict[int, bool], dict[int, bool]]:
-        obs = {length: True for length in range(1, tr.m + 1)}
-        ctr = dict(obs)
-        for j in range(tr.m):
-            full = _relation_chain(tr, j, tr.m, "full")
-            unobs = _relation_chain(tr, j, tr.m, "unobservable")
-            for length in obs:
-                obs[length] = obs[length] and unobs[length].is_zero()
-                ctr[length] = ctr[length] and full[length].is_full()
-        return obs, ctr
+        return flags(tr, "unobservable", Subspace.is_zero), flags(tr, "full", Subspace.is_full)
 
     obs, ctr = profile(t)
     dobs, dctr = profile(dualize(t))

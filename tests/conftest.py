@@ -7,7 +7,10 @@ the instances, never to decide an expected value.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,3 +77,14 @@ def random_set() -> list[Trellis]:
 @pytest.fixture(scope="session")
 def rng() -> random.Random:
     return random.Random(4261)
+
+
+@pytest.fixture(scope="session")
+def bench_inputs():
+    """`bench/inputs.py`, loaded read-only, to rebuild the benchmark draws."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module

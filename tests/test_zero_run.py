@@ -3,10 +3,7 @@ and against the transition-space reading they replaced, and the driver's
 step records on the benchmark draws that take a zero-run step."""
 
 import hashlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -190,18 +187,8 @@ BENCH_DRAW_DIGESTS = {
 }
 
 
-def _bench_inputs():
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_driver_step_records_pinned_on_bench_zero_run_draws(tmp_path):
-    inputs = _bench_inputs()
-    paths = inputs.write_family("reduce-gf2", inputs.DEFAULT_SEED, tmp_path)
+def test_driver_step_records_pinned_on_bench_zero_run_draws(bench_inputs, tmp_path):
+    paths = bench_inputs.write_family("reduce-gf2", bench_inputs.DEFAULT_SEED, tmp_path)
     for draw, digest in BENCH_DRAW_DIGESTS.items():
         report = reduce_driver(parse(paths[draw].read_text()))
         zero_runs = [r for r in report.records() if r["kind"] == "zero-run"]
