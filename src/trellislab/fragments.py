@@ -7,26 +7,25 @@ unobservable space U keeps the pairs joined by an all-zero-symbol path.  T
 and U are ordered compositions of per-constraint relations: T_i is C_i
 projected on its (state-in | state-out) coordinates, U_i is C_i's
 cross-section there, and the empty interval gives the diagonal of S_j.
-s_k is a separate coordinate block even when the interval is the whole axis.
-By duality T of t, with its s_k block negated, is the orthogonal complement
-of U of the dual over the same interval; `reduction` decides its zero-run
-conditions A/A' from the dual's U chains this way.
+Composing the C_i themselves gives the fragment's external behavior, in
+(s_j | a_j ... a_{k-1} | s_k) order: each step appends a_i and moves the end
+state.  s_k is a separate coordinate block even when the interval is the
+whole axis.  By duality T of t, with its s_k block negated, is the orthogonal
+complement of U of the dual over the same interval, and likewise for the
+two external behaviors; `reduction` decides its zero-run conditions A/A'
+from the dual's U chains this way.
 
 T_i and U_i are kept in C_i's `Subspace.memo` under ("local-transitions", d,
 off, part); `compose` keeps its result for a zero or full r of width a + b in
 the memo of s, under ("compose", "zero" or "full", a, b), for every chain and
 trellis sharing the constraint.  Cache keys in `Trellis._cache` (entries are
 immutable once stored; a racing writer only repeats work):
-  ("transitions", j, part)  T (part "full") or U ("unobservable") of
-                            [j, j+L) for L = 0, 1, ..., a tuple of prefix
-                            compositions grown on demand up to m (the
-                            t-profile grows each only up to its threshold);
-  "s_unobs"                 the unobservable state configuration space;
-  ("fragment", j, L)        a `Fragment`.
-
-A `Fragment` is the whole cut-open sub-trellis, over all its symbol and
-state coordinates.  Only the external-behavior half of
-`check_fragment_duality` and the tests still build one.
+  ("transitions", j, part)  T (part "full"), U ("unobservable") or the
+                            external behavior ("external") of [j, j+L) for
+                            L = 0, 1, ..., a tuple of prefix compositions
+                            grown on demand up to m (the t-profile grows
+                            each only up to its threshold);
+  "s_unobs"                 the unobservable state configuration space.
 """
 
 from __future__ import annotations
@@ -37,21 +36,12 @@ from .galois import (
     Mat,
     Subspace,
     cross_section,
-    kernel,
     negate_columns,
     orthogonal,
     project,
     rref,
 )
-from .trellis import Span, Trellis, _scatter_checks, behavior, dualize
-
-
-@dataclass(frozen=True)
-class Fragment:
-    symbol_width: int
-    interval: Span
-    internal_behavior: Subspace
-    external_behavior: Subspace
+from .trellis import Span, Trellis, behavior, dualize
 
 
 @dataclass(frozen=True)
@@ -65,40 +55,11 @@ class TransitionSpaces:
     unobservable: Subspace
 
 
-def fragment(t: Trellis, iv: Span) -> Fragment:
-    if iv.m != t.m:
-        raise ValueError("span axis length does not match the trellis")
-    key = ("fragment", iv.start, iv.length)
-    cached = t._cache.get(key)
-    if cached is not None:
-        return cached
-    if iv.length == 0:
-        diag = _diagonal(t, iv.start)
-        t._cache[key] = Fragment(0, iv, diag, diag)
-        return t._cache[key]
-
-    times = iv.times()
-    st_off = [sum(t.symbol_dims[i] for i in times)]
-    for i in times:
-        st_off.append(st_off[-1] + t.state_dims[i])
-    n = st_off[-1] + t.state_dims[iv.end]
-    rows, sym = [], 0
-    for u, i in enumerate(times):
-        rows += _scatter_checks(t, i, n, (st_off[u], sym, st_off[u + 1]))
-        sym += t.symbol_dims[i]
-    internal = kernel(Mat.from_rows(t.field, n, rows))
-    keep = [*range(sym + t.state_dims[iv.start]), *range(st_off[-1], n)]  # symbols, s_j, s_k
-    external = project(internal, keep)
-    frag = Fragment(sym, iv, internal, external)
-    t._cache[key] = frag
-    return frag
-
-
 def _diagonal(t: Trellis, j: int) -> Subspace:
     """The equality relation {(s, s)} on S_j."""
     d = t.state_dims[j]
-    rows = [[int(c in (k, d + k)) for c in range(2 * d)] for k in range(d)]
-    return Subspace.span(t.field, 2 * d, rows)
+    rows = tuple(tuple(int(c in (k, d + k)) for c in range(2 * d)) for k in range(d))
+    return Subspace(t.field, 2 * d, Mat(t.field, 2 * d, rows))
 
 
 def compose(r: Subspace, s: Subspace, b: int) -> Subspace:
@@ -128,8 +89,11 @@ def compose(r: Subspace, s: Subspace, b: int) -> Subspace:
 
 def _local_relation(t: Trellis, i: int, part: str) -> Subspace:
     """T_i ("full") or U_i ("unobservable"): C_i projected on, or
-    cross-sectioned at, its (state-in | state-out) coordinates."""
+    cross-sectioned at, its (state-in | state-out) coordinates; C_i itself
+    for the external behavior ("external")."""
     c, d, off = t.constraints[i], t.state_dims[i], t.state_out_offset(i)
+    if part == "external":
+        return c
     key = ("local-transitions", d, off, part)
     if key not in c.memo:
         cols = [*range(d), *range(off, c.ambient_dim)]
@@ -138,9 +102,10 @@ def _local_relation(t: Trellis, i: int, part: str) -> Subspace:
 
 
 def _relation_chain(t: Trellis, j: int, length: int, part: str) -> tuple[Subspace, ...]:
-    """T ("full") or U ("unobservable") of [j, j+L) for L = 0..length at
-    least, each composed from the one before and the next local relation;
-    kept apart, so a query for U never composes the wider T."""
+    """T ("full"), U ("unobservable") or the external behavior ("external")
+    of [j, j+L) for L = 0..length at least, each composed from the one
+    before and the next local relation; kept apart, so a query for U never
+    composes the wider T."""
     key = ("transitions", j, part)
     chain = t._cache.get(key) or (_diagonal(t, j),)
     for n in range(len(chain) - 1, length):
@@ -151,10 +116,17 @@ def _relation_chain(t: Trellis, j: int, length: int, part: str) -> tuple[Subspac
 
 
 def transition_relation(t: Trellis, iv: Span, part: str) -> Subspace:
-    """T (`part` "full") or U ("unobservable") of the interval."""
+    """T (`part` "full"), U ("unobservable") or the external behavior
+    ("external") of the interval."""
     if iv.m != t.m:
         raise ValueError("span axis length does not match the trellis")
     return _relation_chain(t, iv.start, iv.length, part)[iv.length]
+
+
+def fragment(t: Trellis, iv: Span) -> Subspace:
+    """The external behavior of the cut-open fragment over the interval: the
+    (s_j | a_j ... a_{k-1} | s_k) boundary of every valid path across it."""
+    return transition_relation(t, iv, "external")
 
 
 def transition_spaces(t: Trellis, iv: Span) -> TransitionSpaces:
@@ -223,12 +195,12 @@ def check_fragment_duality(t: Trellis, iv: Span) -> FragmentDuality:
     sign-adjusted dual external behavior equals the orthogonal complement of
     the external behavior.  A mismatch indicates a bug and raises."""
     td = dualize(t)
-    prim, dual = fragment(t, iv), fragment(td, iv)
-    dj, dk, na = t.state_dims[iv.start], t.state_dims[iv.end], prim.symbol_width
+    dj, dk = t.state_dims[iv.start], t.state_dims[iv.end]
+    na = sum(t.symbol_dims[i] for i in iv.times())
     lhs = negate_columns(transition_relation(td, iv, "full"), range(dj, dj + dk))
     rhs = orthogonal(transition_relation(t, iv, "unobservable"))
-    ext_dual_flipped = negate_columns(dual.external_behavior, range(na + dj, na + dj + dk))
-    ext_ok = ext_dual_flipped == orthogonal(prim.external_behavior)
+    ext_dual_flipped = negate_columns(fragment(td, iv), range(dj + na, dj + na + dk))
+    ext_ok = ext_dual_flipped == orthogonal(fragment(t, iv))
     result = FragmentDuality(lhs, rhs, ext_ok)
     if not result.holds or not ext_ok:
         raise RuntimeError(

@@ -651,50 +651,53 @@ class SpanProfile:
     per_position: tuple[int | None, ...]
 
 
-def span_profile(code: Subspace, enumeration_cap: int = 4096) -> SpanProfile:
+def span_profile(code: Subspace) -> SpanProfile:
+    """The span profile by one elimination per start a, kept in code.memo.
+    With the columns ordered a-1, a-2, ..., a, the codewords inside [a, a+r)
+    are those vanishing on the first m-r columns, spanned by the RREF rows
+    pivoting at m-r or later; so among the rows nonzero at a, the last
+    column, the rightmost pivot P gives the shortest span r = m - P."""
     m = code.ambient_dim
     if code.dim == 0:
         raise ValueError("the zero code has no spans")
-    if code.field.p ** code.dim <= enumeration_cap:
-        per, _ = _shortest_spans(code)
-    else:
-        per = [None] * m
+    if "span-profile" not in code.memo:
+        per: list[int | None] = []
         for a in range(m):
-            for r in range(1, m + 1):
-                window = [(a + u) % m for u in range(r)]
-                cs = cross_section(code, window)
-                if cs.dim and project(cs, [0]).is_full():
-                    per[a] = r
-                    break
-    return SpanProfile(min(r for r in per if r is not None), tuple(per))
+            order = [(a - 1 - q) % m for q in range(m)]
+            reduced = rref(Mat(code.field, m, tuple(tuple(row[c] for c in order) for row in code.basis.entries)))
+            pivots = [row.index(1) for row in reduced.entries if row[-1]]
+            per.append(m - max(pivots) if pivots else None)
+        code.memo["span-profile"] = SpanProfile(min(r for r in per if r is not None), tuple(per))
+    return code.memo["span-profile"]
 
 
-def _shortest_spans(code: Subspace) -> tuple[list[int | None], list[list[tuple[int, ...]]]]:
+MAX_ENUMERATED_WORDS = 4096
+
+
+def _shortest_span_words(code: Subspace) -> list[list[tuple[int, ...]]]:
     """For every start a, in one pass over the code, kept in code.memo: the
-    shortest span length of the codewords nonzero at a, and those codewords
-    of that span starting at a, lexicographically sorted (None and [] where
-    no codeword is)."""
-    if "shortest-spans" in code.memo:
-        return code.memo["shortest-spans"]
-    m = code.ambient_dim
-    per: list[int | None] = [None] * m
-    words: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
-    for w in code.vectors():
-        support = [q for q, x in enumerate(w) if x]
-        for a in support:
-            r = max((q - a) % m for q in support) + 1
-            if per[a] is None or r < per[a]:
-                per[a], words[a] = r, [w]
-            elif r == per[a]:
-                words[a].append(w)
-    code.memo["shortest-spans"] = per, [sorted(ws) for ws in words]
-    return code.memo["shortest-spans"]
+    codewords nonzero at a whose span from a is the shortest, sorted
+    lexicographically ([] where no codeword is nonzero at a).  Raises past
+    MAX_ENUMERATED_WORDS codewords."""
+    if code.field.p ** code.dim > MAX_ENUMERATED_WORDS:
+        raise ValueError(f"the code has more than {MAX_ENUMERATED_WORDS} words to enumerate")
+    if "shortest-span-words" not in code.memo:
+        m, per = code.ambient_dim, span_profile(code).per_position
+        words: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+        for w in code.vectors():
+            support = [q for q, x in enumerate(w) if x]
+            for a in support:
+                if max((q - a) % m for q in support) + 1 == per[a]:
+                    words[a].append(w)
+        code.memo["shortest-span-words"] = [sorted(ws) for ws in words]
+    return code.memo["shortest-span-words"]
 
 
 def kv_trellis(code: Subspace, start_assignment) -> Trellis:
     """Product trellis from shortest-span generators at the assigned start
     positions (greedy lexicographic choice), requiring pairwise distinct
-    starts and ends and linear independence."""
+    starts and ends and linear independence.  Raises past
+    MAX_ENUMERATED_WORDS codewords."""
     m = code.ambient_dim
     starts = list(start_assignment)
     if code.dim == 0:
@@ -705,9 +708,8 @@ def kv_trellis(code: Subspace, start_assignment) -> Trellis:
     dual_prof = span_profile(orthogonal(code))
     if prof.chi <= 1 or dual_prof.chi <= 1:
         raise ValueError("code and dual must both have full support")
-    gens = []
-    ends = []
-    _, words_at = _shortest_spans(code)
+    gens, ends = [], []
+    words_at = _shortest_span_words(code)
     for a in starts:
         words = words_at[a]
         if not words:
@@ -729,8 +731,9 @@ def is_kv_trellis(
     t: Trellis, subset_cap: int = 512, combo_cap: int = 512
 ) -> bool | None:
     """Bounded search for a shortest-span generator set whose product trellis
-    is isomorphic to t.  None when the search space exceeds the caps or an
-    isomorphism check was undecided."""
+    is isomorphic to t.  None when the search space exceeds the caps (the
+    code has more than MAX_ENUMERATED_WORDS words, or too many start sets or
+    word combinations) or an isomorphism check was undecided."""
     if any(d != 1 for d in t.symbol_dims):
         return False
     code = realized_code(t)
@@ -746,7 +749,9 @@ def is_kv_trellis(
     kdim = code.dim
     if comb(m, kdim) > subset_cap:
         return None
-    _, words_at = _shortest_spans(code)
+    if code.field.p ** code.dim > MAX_ENUMERATED_WORDS:
+        return None
+    words_at = _shortest_span_words(code)
     undecided = False
     for starts in combinations(range(m), kdim):
         dims_at = [0] * m

@@ -7,8 +7,8 @@ code subspaces use the coordinate order (all symbols a_0..a_{m-1}, then all
 states s_0..s_{m-1}).
 
 Trellis values are immutable; the attached cache only memoizes derived
-immutable values (behavior, dual, transition relations, fragments), so
-sharing across threads is safe for readers.
+immutable values (behavior, dual, transition relations and fragment external
+behaviors), so sharing across threads is safe for readers.
 """
 
 from __future__ import annotations

@@ -13,12 +13,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from trellislab.galois import FieldSpec, Subspace
 from trellislab.trellis import Trellis, dualize
-from trellislab.fragments import fragment
 from trellislab.trellis import Span
 from trellislab.corpus import build_corpus
+
+import oracles
 
 
 def random_subspace(rng: random.Random, field: FieldSpec, n: int, dim: int | None = None) -> Subspace:
@@ -43,10 +45,10 @@ def random_trellis(rng: random.Random, p: int) -> Trellis:
 
 def _small_enough(t: Trellis) -> bool:
     cap = 9 if t.field.p == 2 else 6
-    if fragment(t, Span(0, t.m, t.m)).internal_behavior.dim > cap:
+    if oracles.kernel_fragment(t, Span(0, t.m, t.m))[1].dim > cap:
         return False
     td = dualize(t)
-    if fragment(td, Span(0, t.m, t.m)).internal_behavior.dim > cap:
+    if oracles.kernel_fragment(td, Span(0, t.m, t.m))[1].dim > cap:
         return False
     return True
 
@@ -62,6 +64,22 @@ def make_random_set(count: int = 200, seed: int = 20130) -> list[Trellis]:
         if _small_enough(t):
             out.append(t)
     return out
+
+
+@st.composite
+def trellises(draw) -> Trellis:
+    """Any trellis of the sizes below, for Hypothesis: each constraint is the
+    span of drawn rows, so it need not be trim or proper."""
+    field = FieldSpec(draw(st.sampled_from((2, 3, 5, 7))))
+    m = draw(st.integers(1, 8))
+    states = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    symbols = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    constraints = []
+    for i in range(m):
+        n = states[i] + symbols[i] + states[(i + 1) % m]
+        row = st.lists(st.integers(0, field.p - 1), min_size=n, max_size=n)
+        constraints.append(Subspace.span(field, n, draw(st.lists(row, max_size=n))))
+    return Trellis(field, m, tuple(symbols), tuple(states), tuple(constraints))
 
 
 @pytest.fixture(scope="session")

@@ -2,12 +2,18 @@
 
 Everything here avoids the library's elimination/kernel/solve routines:
 membership and spans are computed by explicit enumeration, behaviors by
-walking branches.  Kept deliberately dumb.
+walking branches.  Kept deliberately dumb.  The one exception is
+`kernel_fragment`, the reference for fragment behaviors too large to walk: it
+takes `galois.kernel` of the fragment's scattered parity checks, not the
+`compose` chains behind `fragments.fragment`.
 """
 
 from __future__ import annotations
 
 from itertools import product as iter_product
+
+from trellislab.galois import Mat, Subspace, kernel, project
+from trellislab.trellis import _scatter_checks
 
 
 def all_vectors(p: int, n: int):
@@ -119,19 +125,50 @@ def enumerate_fragment_paths(t, start: int, length: int):
         yield tuple(syms), tuple(states)
 
 
-def min_span_length(p: int, codewords: set[tuple[int, ...]], m: int) -> int:
-    """Minimum circular covering-interval length over nonzero codewords."""
-    best = None
+def shortest_span_lengths(codewords: set[tuple[int, ...]], m: int) -> tuple[int | None, ...]:
+    """Per start a, the shortest circular interval from a covering the
+    support of a codeword nonzero at a (None where no codeword is)."""
+    per: list[int | None] = [None] * m
     for w in codewords:
         support = [i for i, x in enumerate(w) if x]
-        if not support:
-            continue
-        for a in range(m):
-            if w[a] == 0:
-                continue
+        for a in support:
             r = max((q - a) % m for q in support) + 1
-            if best is None or r < best:
-                best = r
-    if best is None:
+            if per[a] is None or r < per[a]:
+                per[a] = r
+    return tuple(per)
+
+
+def min_span_length(p: int, codewords: set[tuple[int, ...]], m: int) -> int:
+    """Minimum circular covering-interval length over nonzero codewords."""
+    spans = [r for r in shortest_span_lengths(codewords, m) if r is not None]
+    if not spans:
         raise ValueError("zero code has no spans")
-    return best
+    return min(spans)
+
+
+def kernel_fragment(t, iv):
+    """The cut-open fragment over the span `iv` as the kernel of its
+    constraints' parity checks: (symbol_width, internal, external), the
+    internal behavior over (symbols | s_j, interior states, s_k) and the
+    external one over (symbols | s_j | s_k)."""
+    if iv.m != t.m:
+        raise ValueError("span axis length does not match the trellis")
+    if iv.length == 0:
+        d = t.state_dims[iv.start]
+        rows = [[int(c in (k, d + k)) for c in range(2 * d)] for k in range(d)]
+        diag = Subspace.span(t.field, 2 * d, rows)
+        return 0, diag, diag
+
+    times = iv.times()
+    st_off = [sum(t.symbol_dims[i] for i in times)]
+    for i in times:
+        st_off.append(st_off[-1] + t.state_dims[i])
+    n = st_off[-1] + t.state_dims[iv.end]
+    rows, sym = [], 0
+    for u, i in enumerate(times):
+        rows += _scatter_checks(t, i, n, (st_off[u], sym, st_off[u + 1]))
+        sym += t.symbol_dims[i]
+    internal = kernel(Mat.from_rows(t.field, n, rows))
+    keep = [*range(sym + t.state_dims[iv.start]), *range(st_off[-1], n)]  # symbols, s_j, s_k
+    external = project(internal, keep)
+    return sym, internal, external

@@ -3,6 +3,7 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
 
 from trellislab.galois import GF2, GF3, FieldSpec, Subspace, cross_section, project
 from trellislab.trellis import Span, Trellis, behavior, dualize, realized_code
@@ -20,37 +21,29 @@ from trellislab.fragments import (
 from trellislab.reduction import conventional_trellis, span_profile
 
 import oracles
+from conftest import trellises
 
 
 def test_edge_fragment_is_equality_constraint(figures):
     t = figures["fig1a"]
-    frag = fragment(t, Span(2, 0, 3))
-    assert frag.external_behavior == Subspace.span(GF2, 4, [[1, 0, 1, 0], [0, 1, 0, 1]])
+    assert fragment(t, Span(2, 0, 3)) == Subspace.span(GF2, 4, [[1, 0, 1, 0], [0, 1, 0, 1]])
     trans = transition_spaces(t, Span(2, 0, 3))
     assert trans.full == trans.unobservable  # no symbols in the fragment
 
 
 def test_single_constraint_fragment(figures):
+    # (state-in | symbol | state-out), the order of the constraint itself
     t = figures["fig3a"]
     for i in range(t.m):
-        frag = fragment(t, Span(i, 1, t.m))
-        c = t.constraints[i]
-        dl, da = t.state_dims[i], t.symbol_dims[i]
-        reordered = Subspace.span(
-            GF2,
-            c.ambient_dim,
-            [list(b[dl:dl + da]) + list(b[:dl]) + list(b[dl + da:]) for b in c.basis.entries],
-        )
-        assert frag.external_behavior == reordered
+        assert fragment(t, Span(i, 1, t.m)) == t.constraints[i]
 
 
 def test_internal_behavior_matches_path_enumeration(figures):
     for name in ("fig1a", "fig2b", "fig3a"):
         t = figures[name]
         for length in (1, 2, t.m):
-            frag = fragment(t, Span(0, length, t.m))
-            na = frag.symbol_width
-            got = {(v[:na], v[na:]) for v in frag.internal_behavior.vectors()}
+            na, internal, _ = oracles.kernel_fragment(t, Span(0, length, t.m))
+            got = {(v[:na], v[na:]) for v in internal.vectors()}
             want = set(oracles.enumerate_fragment_paths(t, 0, length))
             assert got == want
 
@@ -88,8 +81,9 @@ def test_compose_matches_enumeration():
 
 
 def test_transition_spaces_match_path_enumeration(figures, random_set):
-    # T is the set of boundary pairs of all paths and U that of the
-    # zero-symbol paths, on every interval, by branch walking only
+    # T is the set of boundary pairs of all paths, U that of the zero-symbol
+    # paths and the fragment the (s_j | symbols | s_k) boundary of all paths,
+    # on every interval, by branch walking only
     checked = 0
     for t in list(figures.values()) + random_set[:40]:
         for tr in (t, dualize(t)):
@@ -98,22 +92,40 @@ def test_transition_spaces_match_path_enumeration(figures, random_set):
                     iv = Span(j, length, tr.m)
                     trans = transition_spaces(tr, iv)
                     last = sum(tr.state_dims[(j + u) % tr.m] for u in range(length))
-                    full, unobs = set(), set()
+                    full, unobs, external = set(), set(), set()
                     for syms, states in oracles.enumerate_fragment_paths(tr, j, length):
                         pair = states[: tr.state_dims[j]] + states[last:]
                         full.add(pair)
                         if not any(syms):
                             unobs.add(pair)
+                        external.add(states[: tr.state_dims[j]] + syms + states[last:])
                     assert oracles.subspace_set(trans.full) == full
                     assert oracles.subspace_set(trans.unobservable) == unobs
+                    assert oracles.subspace_set(fragment(tr, iv)) == external
                     checked += 1
     assert checked > 1000
 
 
 def test_whole_axis_fragment_larger_than_behavior(figures):
     t = figures["fig1a"]
-    frag = fragment(t, Span(0, 3, 3))
-    assert frag.internal_behavior.dim > behavior(t).dim
+    assert oracles.kernel_fragment(t, Span(0, 3, 3))[1].dim > behavior(t).dim
+
+
+def test_fragment_matches_kernel_reference(figures, random_set):
+    # the composed external behavior is the kernel reference's, with its
+    # (symbols | s_j | s_k) columns reordered to (s_j | symbols | s_k)
+    checked = 0
+    for t in list(figures.values()) + random_set:
+        for tr in (t, dualize(t)):
+            for j in range(tr.m):
+                for length in range(tr.m + 1):
+                    iv = Span(j, length, tr.m)
+                    na, _, external = oracles.kernel_fragment(tr, iv)
+                    dj = tr.state_dims[j]
+                    rows = [row[na:na + dj] + row[:na] + row[na + dj:] for row in external.basis.entries]
+                    assert fragment(tr, iv) == Subspace.span(tr.field, external.ambient_dim, rows)
+                    checked += 1
+    assert checked == 6764
 
 
 def test_transition_spaces_nesting(figures, random_set):
@@ -232,6 +244,16 @@ def test_fragment_duality_gf3_signs():
             assert report.holds and report.dual_external_matches
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(trellises())
+def test_fragment_duality_on_any_trellis(t):
+    # both halves, at every interval; p up to 7 and state dims up to 3
+    for j in range(t.m):
+        for length in range(t.m + 1):
+            report = check_fragment_duality(t, Span(j, length, t.m))  # raises on a mismatch
+            assert report.holds and report.dual_external_matches
+
+
 def test_memory_profile_examples(figures):
     prof3 = t_observability_profile(figures["fig3a"])
     assert prof3.observable[5] and not prof3.observable[4]
@@ -254,19 +276,18 @@ def test_memory_profile_cross_check_raises_on_a_wrong_dual(figures, monkeypatch)
 
 
 def test_memory_profile_matches_direct_fragments(figures, random_set):
-    # the reference reads T and U off each fragment's external behavior,
-    # independently of the composed transition relations behind the profile
+    # the reference reads T and U off each fragment's kernel-built external
+    # behavior, independently of the composed relations behind the profile
     for t in [figures["fig1a"], figures["fig3a"]] + random_set[:25]:
         prof = t_observability_profile(t)
         for length in range(1, t.m + 1):
             want_obs = want_ctr = True
             for j in range(t.m):
                 iv = Span(j, length, t.m)
-                frag = fragment(t, iv)
-                na = frag.symbol_width
+                na, _, external = oracles.kernel_fragment(t, iv)
                 cols = range(na, na + t.state_dims[j] + t.state_dims[iv.end])
-                want_obs &= cross_section(frag.external_behavior, cols).is_zero()
-                want_ctr &= project(frag.external_behavior, cols).is_full()
+                want_obs &= cross_section(external, cols).is_zero()
+                want_ctr &= project(external, cols).is_full()
             assert prof.observable[length] == want_obs
             assert prof.controllable[length] == want_ctr
 

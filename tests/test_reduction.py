@@ -1,6 +1,9 @@
+import random
+import time
+
 import pytest
 
-from trellislab.galois import GF2, Subspace, orthogonal
+from trellislab.galois import GF2, GF3, Subspace, orthogonal
 from trellislab.trellis import (
     Trellis,
     behavior,
@@ -287,21 +290,19 @@ def test_span_profile_examples(figures):
 
 
 def test_span_profile_matches_enumeration(figures, rng):
-    for _ in range(30):
-        m = rng.randint(2, 7)
-        dim = rng.randint(1, min(4, m))
-        code = random_subspace(rng, GF2, m, dim)
-        if code.dim == 0:
-            continue
-        words = oracles.subspace_set(code)
-        assert span_profile(code).chi == oracles.min_span_length(2, words, m)
-
-
-def test_span_profile_fallback_agrees(figures):
-    code7 = realized_code(figures["fig7"])
-    by_enum = span_profile(code7)
-    by_algebra = span_profile(code7, enumeration_cap=1)
-    assert by_enum == by_algebra
+    # the GF(3) codes come from their own generator, so the shared one feeds
+    # the later tests the same draws
+    for field, gen in ((GF2, rng), (GF3, random.Random(289))):
+        for _ in range(30):
+            m = gen.randint(2, 7)
+            dim = gen.randint(1, min(4, m))
+            code = random_subspace(gen, field, m, dim)
+            if code.dim == 0:
+                continue
+            words = oracles.subspace_set(code)
+            prof = span_profile(code)
+            assert prof.chi == oracles.min_span_length(field.p, words, m)
+            assert prof.per_position == oracles.shortest_span_lengths(words, m)
 
 
 def test_span_profile_rejects_zero_code():
@@ -338,6 +339,19 @@ def test_kv_trellis_construction():
 def test_kv_trellis_rejects_zero_code():
     with pytest.raises(ValueError):
         kv_trellis(Subspace.zero(GF2, 3), [])
+
+
+def test_kv_search_fails_closed_past_the_word_cap():
+    # the even-weight code of length 24 has 2^23 words: the search reports
+    # "undecided" at once instead of enumerating them
+    m = 24
+    code = Subspace.span(GF2, m, [[int(q in (i, i + 1)) for q in range(m)] for i in range(m - 1)])
+    t = conventional_trellis(code, 0)
+    began = time.perf_counter()
+    assert is_kv_trellis(t) is None
+    assert time.perf_counter() - began < 1.0
+    with pytest.raises(ValueError, match="words to enumerate"):
+        kv_trellis(code, range(m - 1))
 
 
 def test_fig7_is_not_kv(figures):

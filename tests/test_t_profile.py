@@ -5,13 +5,14 @@ benchmark draws."""
 
 import hashlib
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from trellislab import cli
 from trellislab.fragments import MemoryProfile, _relation_chain, t_observability_profile
-from trellislab.galois import FieldSpec, Subspace
 from trellislab.specfile import parse, serialize
 from trellislab.trellis import Trellis, dualize
+
+from conftest import trellises
 
 
 def _reference_profile(t: Trellis) -> MemoryProfile:
@@ -54,22 +55,6 @@ def test_profile_matches_full_grid(figures, random_set, bench_inputs, tmp_path):
 
 
 # --- property-based ----------------------------------------------------------------
-
-@st.composite
-def trellises(draw) -> Trellis:
-    """Any trellis of the sizes below: each constraint is the span of drawn
-    rows, so it need not be trim or proper."""
-    field = FieldSpec(draw(st.sampled_from((2, 3, 5, 7))))
-    m = draw(st.integers(1, 8))
-    states = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
-    symbols = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
-    constraints = []
-    for i in range(m):
-        n = states[i] + symbols[i] + states[(i + 1) % m]
-        row = st.lists(st.integers(0, field.p - 1), min_size=n, max_size=n)
-        constraints.append(Subspace.span(field, n, draw(st.lists(row, max_size=n))))
-    return Trellis(field, m, tuple(symbols), tuple(states), tuple(constraints))
-
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(trellises())

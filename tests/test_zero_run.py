@@ -173,7 +173,7 @@ def test_is_kv_trellis_enumerates_each_code_once(figures, monkeypatch):
     fig7 = parse(serialize(figures["fig7"]))  # fresh caches
     monkeypatch.setattr(Subspace, "vectors", counted)
     assert is_kv_trellis(fig7) is False
-    assert sorted(calls) == [3, 6]  # the dual, then the code
+    assert calls == [6]  # the code only: the span profiles take no enumeration
 
 
 # --- benchmark draws that take a zero-run step ---------------------------------
