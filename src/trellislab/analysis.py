@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .galois import Mat, Subspace, cross_section, project, rank
+from .galois import Mat, Subspace, cross_section, orthogonal, project, rank
 from .trellis import Trellis, behavior, dualize, realized_code
 from .fragments import unobservable_state_space
 
@@ -143,11 +143,9 @@ def connected(t: Trellis) -> Connectivity:
     used = set()
     for i in range(t.m):
         nxt = (i + 1) % t.m
-        dl = t.state_dims[i]
-        da = t.symbol_dims[i]
         for br in t.constraints[i].vectors():
-            a = index[(i, br[:dl])]
-            b = index[(nxt, br[dl + da:])]
+            s_in, _, s_out = t.split(i, br)
+            a, b = index[(i, s_in)], index[(nxt, s_out)]
             union(a, b)
             used.add(a)
             used.add(b)
@@ -262,7 +260,7 @@ def classify_chain(t: Trellis, tparam: int) -> ChainReport:
     from .reduction import is_kv_trellis, span_profile
 
     code = realized_code(t)
-    dual_code = realized_code(dualize(t))
+    dual_code = orthogonal(code)
     prof_c = span_profile(code)
     prof_d = span_profile(dual_code)
     if prof_c.chi <= 1 or prof_d.chi <= 1:

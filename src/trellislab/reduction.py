@@ -399,6 +399,9 @@ def two_reduction_m1(t: Trellis) -> TwoReduction:
         for a, b in zip(primal_trim.result.constraint_dims(), t.constraint_dims())
     )
     if not (composite_strict and composite_conservative):
+        gt = global_trim_flags(t)
+        if not (gt.state_trim and gt.branch_trim):
+            raise ValueError("composite 2-reduction not strict and conservative on a non-trim input")
         raise RuntimeError("composite 2-reduction must be strict and conservative")
     return TwoReduction((primal_exp, primal_trim), (dual_bt, dual_merge))
 
@@ -490,37 +493,20 @@ def zero_run_expand(t: Trellis, j: int, tlen: int, witness_pair) -> Trellis:
     for i in range(m):
         nxt = (i + 1) % m
         c = t.constraints[i]
-        dl, da, dr = t.state_dims[i], t.symbol_dims[i], t.state_dims[nxt]
-        lshift = 1 if i in inner else 0
-        rshift = 1 if nxt in inner else 0
+        lshift = (0,) if i in inner else ()
+        rshift = (0,) if nxt in inner else ()
         if not lshift and not rshift:
             constraints.append(c)
             continue
-        amb = sdims[i] + da + sdims[nxt]
         rows = []
         for b in c.basis.entries:
-            v = [0] * amb
-            for q in range(dl):
-                v[lshift + q] = b[q]
-            for q in range(da):
-                v[sdims[i] + q] = b[dl + q]
-            for q in range(dr):
-                v[sdims[i] + da + rshift + q] = b[dl + da + q]
-            rows.append(v)
-        on_arc = (i - k) % m < tlen
-        if on_arc:
-            v = [0] * amb
-            if i == k:
-                for q in range(dl):
-                    v[q] = s_k[q]
-            else:
-                v[0] = 1
-            if nxt == j:
-                for q in range(dr):
-                    v[sdims[i] + da + q] = s_j[q]
-            else:
-                v[sdims[i] + da] = 1
-            rows.append(v)
+            s_in, a, s_out = t.split(i, b)
+            rows.append(lshift + s_in + a + rshift + s_out)
+        if (i - k) % m < tlen:
+            arc_in = tuple(s_k) if i == k else (1,) + (0,) * t.state_dims[i]
+            arc_out = tuple(s_j) if nxt == j else (1,) + (0,) * t.state_dims[nxt]
+            rows.append(arc_in + (0,) * t.symbol_dims[i] + arc_out)
+        amb = sdims[i] + t.symbol_dims[i] + sdims[nxt]
         constraints.append(Subspace.span(t.field, amb, rows))
     out = Trellis(t.field, m, t.symbol_dims, tuple(sdims), tuple(constraints))
     if realized_code(out) != realized_code(t):
@@ -531,8 +517,7 @@ def zero_run_expand(t: Trellis, j: int, tlen: int, witness_pair) -> Trellis:
     for i in inner:
         if (i + 1) % m not in inner:
             continue
-        cols = [0, sdims[i] + t.symbol_dims[i]]
-        mixed = project(out.constraints[i], cols)
+        mixed = project(out.constraints[i], [0, out.state_out_offset(i)])
         if not diag.contains_space(mixed):
             raise RuntimeError("adjoined coordinates leak into old branches")
     return out
@@ -612,8 +597,7 @@ def _zero_run_a(
     current = trim_to(expanded, last, x)
     idx = (j - 2) % m
     while idx != k:
-        dl = current.state_dims[idx]
-        left_proj = project(current.constraints[idx], list(range(dl)))
+        left_proj = project(current.constraints[idx], list(range(current.state_dims[idx])))
         current = trim_to(current, idx, left_proj)
         idx = (idx - 1) % m
 
@@ -672,6 +656,9 @@ def span_profile(code: Subspace) -> SpanProfile:
 
 
 MAX_ENUMERATED_WORDS = 4096
+MAX_KV_START_SETS = 512
+MAX_KV_WORD_COMBOS = 512
+MAX_DRIVER_ROUNDS = 200
 
 
 def _shortest_span_words(code: Subspace) -> list[list[tuple[int, ...]]]:
@@ -727,13 +714,12 @@ def kv_trellis(code: Subspace, start_assignment) -> Trellis:
     return product([elementary(code.field, g, dims) for g in gens])
 
 
-def is_kv_trellis(
-    t: Trellis, subset_cap: int = 512, combo_cap: int = 512
-) -> bool | None:
+def is_kv_trellis(t: Trellis) -> bool | None:
     """Bounded search for a shortest-span generator set whose product trellis
-    is isomorphic to t.  None when the search space exceeds the caps (the
-    code has more than MAX_ENUMERATED_WORDS words, or too many start sets or
-    word combinations) or an isomorphism check was undecided."""
+    is isomorphic to t.  None when the search space exceeds a cap (more than
+    MAX_ENUMERATED_WORDS codewords, MAX_KV_START_SETS start sets or, for one
+    start set, MAX_KV_WORD_COMBOS word combinations) or an isomorphism check
+    was undecided."""
     if any(d != 1 for d in t.symbol_dims):
         return False
     code = realized_code(t)
@@ -747,7 +733,7 @@ def is_kv_trellis(
         return False
     m = t.m
     kdim = code.dim
-    if comb(m, kdim) > subset_cap:
+    if comb(m, kdim) > MAX_KV_START_SETS:
         return None
     if code.field.p ** code.dim > MAX_ENUMERATED_WORDS:
         return None
@@ -768,7 +754,7 @@ def is_kv_trellis(
         total = 1
         for pool in pools:
             total *= len(pool)
-        if total > combo_cap:
+        if total > MAX_KV_WORD_COMBOS:
             undecided = True
             continue
         for combo in iter_product(*pools):
@@ -973,7 +959,7 @@ def _next_driver_steps(t: Trellis) -> tuple[ReductionStep, ...] | None:
     return None
 
 
-def reduce_driver(t: Trellis, max_rounds: int = 200) -> ReductionReport:
+def reduce_driver(t: Trellis) -> ReductionReport:
     """Apply the constructive toolbox until no method applies.
 
     Every strict step lowers the total state dimension and the non-strict
@@ -981,7 +967,7 @@ def reduce_driver(t: Trellis, max_rounds: int = 200) -> ReductionReport:
     loop terminates."""
     steps: list[ReductionStep] = []
     current = t
-    for _ in range(max_rounds):
+    for _ in range(MAX_DRIVER_ROUNDS):
         batch = _next_driver_steps(current)
         if batch is None:
             break

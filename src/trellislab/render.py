@@ -34,16 +34,12 @@ def to_dot(t: Trellis) -> str:
         for v in states:
             lines.append(f'  "{_node(col, v, p)}" [label="{_label(v, p)}"];')
     for i in range(t.m):
-        dl = t.state_dims[i]
-        da = t.symbol_dims[i]
         edges = []
         for br in sorted(t.constraints[i].vectors()):
-            left = br[:dl]
-            sym = br[dl:dl + da]
-            right = br[dl + da:]
+            left, sym, right = t.split(i, br)
             style = "dashed" if not any(sym) else "solid"
             attrs = [f"style={style}"]
-            if da > 1 or (da == 1 and p > 2 and any(sym)):
+            if len(sym) > 1 or (len(sym) == 1 and p > 2 and any(sym)):
                 attrs.append(f'label="{_label(sym, p)}"')
             edges.append(
                 f'  "{_node(i, left, p)}" -> "{_node(i + 1, right, p)}" [{", ".join(attrs)}];'

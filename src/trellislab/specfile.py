@@ -60,18 +60,8 @@ def serialize(t: Trellis) -> str:
     for i, c in enumerate(t.constraints):
         out.append("")
         out.append(f"constraint {i}")
-        dl = t.state_dims[i]
-        da = t.symbol_dims[i]
         for row in c.basis.entries:
-            out.append(
-                "|".join(
-                    (
-                        _format_block(row[:dl], p),
-                        _format_block(row[dl:dl + da], p),
-                        _format_block(row[dl + da:], p),
-                    )
-                )
-            )
+            out.append("|".join(_format_block(blk, p) for blk in t.split(i, row)))
     return "\n".join(out) + "\n"
 
 

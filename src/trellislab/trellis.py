@@ -16,6 +16,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from itertools import product as iter_product
+from operator import mul
 
 from .galois import (
     FieldSpec,
@@ -131,6 +132,12 @@ class Trellis:
         """First coordinate of the state-out block S_{i+1} inside C_i."""
         return self.state_dims[i] + self.symbol_dims[i]
 
+    def split(self, i: int, row) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """A row of C_i as its (state-in, symbol, state-out) blocks: the one
+        place outside this module that knows the constraint-row layout."""
+        s, o = self.state_dims[i], self.state_out_offset(i)
+        return tuple(row[:s]), tuple(row[s:o]), tuple(row[o:])
+
     def constraint_dims(self) -> tuple[int, ...]:
         return tuple(c.dim for c in self.constraints)
 
@@ -212,26 +219,18 @@ def product(trellises: list[Trellis] | tuple[Trellis, ...]) -> Trellis:
     constraints = []
     for i in range(m):
         nxt = (i + 1) % m
-        amb = sdims[i] + adims[i] + sdims[nxt]
         rows = []
-        left_off = 0
-        right_off = 0
+        before_in = before_out = 0
         for t in trellises:
-            dl = t.state_dims[i]
-            da = adims[i]
-            dr = t.state_dims[nxt]
+            after_in = sdims[i] - before_in - t.state_dims[i]
+            after_out = sdims[nxt] - before_out - t.state_dims[nxt]
             for b in t.constraints[i].basis.entries:
-                v = [0] * amb
-                for k in range(dl):
-                    v[left_off + k] = b[k]
-                for k in range(da):
-                    v[sdims[i] + k] = b[dl + k]
-                for k in range(dr):
-                    v[sdims[i] + da + right_off + k] = b[dl + da + k]
-                rows.append(v)
-            left_off += dl
-            right_off += dr
-        constraints.append(Subspace.span(field_, amb, rows))
+                s_in, a, s_out = t.split(i, b)
+                rows.append((0,) * before_in + s_in + (0,) * after_in + a
+                            + (0,) * before_out + s_out + (0,) * after_out)
+            before_in += t.state_dims[i]
+            before_out += t.state_dims[nxt]
+        constraints.append(Subspace.span(field_, sdims[i] + adims[i] + sdims[nxt], rows))
     return Trellis(field_, m, adims, sdims, tuple(constraints))
 
 
@@ -342,27 +341,33 @@ def _general_linear(p: int, n: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def _map_constraint(c: Subspace, left: tuple, right: tuple, dl: int, da: int, dr: int) -> Subspace:
-    p = c.field.p
+def _map_constraint(t: Trellis, i: int, left: tuple, right: tuple) -> Subspace:
+    """C_i with its state-in block times the matrix `left` and its state-out
+    block times `right`."""
+    c, p = t.constraints[i], t.field.p
+    left_cols, right_cols = tuple(zip(*left)), tuple(zip(*right))
+
+    def times(v: tuple[int, ...], cols: tuple) -> tuple[int, ...]:
+        return tuple(sum(map(mul, v, col)) % p for col in cols)
+
     rows = []
     for b in c.basis.entries:
-        v = [0] * c.ambient_dim
-        for j in range(dl):
-            v[j] = sum(b[k] * left[k][j] for k in range(dl)) % p
-        for j in range(da):
-            v[dl + j] = b[dl + j]
-        for j in range(dr):
-            v[dl + da + j] = sum(b[dl + da + k] * right[k][j] for k in range(dr)) % p
-        rows.append(v)
+        s_in, a, s_out = t.split(i, b)
+        rows.append(times(s_in, left_cols) + a + times(s_out, right_cols))
     return Subspace.span(c.field, c.ambient_dim, rows)
 
 
-def is_isomorphic(a: Trellis, b: Trellis, dim_cap: int = 3, p_cap: int = 3) -> IsoResult:
+ISO_MAX_STATE_DIM = 3
+ISO_MAX_FIELD = 3
+
+
+def is_isomorphic(a: Trellis, b: Trellis) -> IsoResult:
     """Decide linear trellis isomorphism by exhaustive search over invertible
     state maps, with pruning by dimension profiles.
 
-    Above the cap (any state dim > dim_cap or p > p_cap) the search is
-    abandoned and reported as undecided rather than silently false.
+    Above the caps (a state dim above ISO_MAX_STATE_DIM or p above
+    ISO_MAX_FIELD) the search is abandoned and reported as undecided rather
+    than silently false.
     """
     if a.m != b.m or a.field != b.field or a.symbol_dims != b.symbol_dims:
         raise ValueError("isomorphism requires equal length, field, and symbol dims")
@@ -370,7 +375,7 @@ def is_isomorphic(a: Trellis, b: Trellis, dim_cap: int = 3, p_cap: int = 3) -> I
         return IsoResult(False, note="state dimension profiles differ")
     if a.constraint_dims() != b.constraint_dims():
         return IsoResult(False, note="constraint dimension profiles differ")
-    if max(a.state_dims, default=0) > dim_cap or a.field.p > p_cap:
+    if max(a.state_dims, default=0) > ISO_MAX_STATE_DIM or a.field.p > ISO_MAX_FIELD:
         return IsoResult(None, note="search abandoned above the dimension cap")
     m = a.m
     p = a.field.p
@@ -383,12 +388,9 @@ def is_isomorphic(a: Trellis, b: Trellis, dim_cap: int = 3, p_cap: int = 3) -> I
             return maps
         i = order[pos]
         nxt = (i + 1) % m
-        dl, da, dr = a.state_dims[i], a.symbol_dims[i], a.state_dims[nxt]
-        left = maps[i]
         candidates = [maps[nxt]] if nxt in maps else groups[nxt]
         for cand in candidates:
-            mapped = _map_constraint(a.constraints[i], left, cand, dl, da, dr)
-            if mapped != b.constraints[i]:
+            if _map_constraint(a, i, maps[i], cand) != b.constraints[i]:
                 continue
             added = nxt not in maps
             if added:
@@ -403,10 +405,7 @@ def is_isomorphic(a: Trellis, b: Trellis, dim_cap: int = 3, p_cap: int = 3) -> I
     for phi0 in groups[start]:
         got = extend(0, {start: phi0})
         if got is not None:
-            field_ = a.field
-            witness = tuple(
-                Mat(field_, a.state_dims[i], got[i]) for i in range(m)
-            )
+            witness = tuple(Mat(a.field, a.state_dims[i], got[i]) for i in range(m))
             return IsoResult(True, witness=witness)
     return IsoResult(False)
 
@@ -420,12 +419,9 @@ def time_reversed(t: Trellis) -> Trellis:
     constraints = []
     for i in range(m):
         src = m - 1 - i
-        c = t.constraints[src]
-        dl = t.state_dims[src]
-        da = t.symbol_dims[src]
-        dr = t.state_dims[(src + 1) % m]
         rows = []
-        for b in c.basis.entries:
-            rows.append(list(b[dl + da:]) + list(b[dl:dl + da]) + list(b[:dl]))
-        constraints.append(Subspace.span(t.field, dr + da + dl, rows))
+        for b in t.constraints[src].basis.entries:
+            s_in, a, s_out = t.split(src, b)
+            rows.append(s_out + a + s_in)
+        constraints.append(Subspace.span(t.field, t.constraint_ambient(src), rows))
     return Trellis(t.field, m, adims, sdims, tuple(constraints))

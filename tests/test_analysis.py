@@ -14,7 +14,9 @@ from trellislab.analysis import (
     property_report,
 )
 from trellislab.fragments import unobservable_state_space
+from trellislab import reduction
 from trellislab.reduction import trim_to
+from trellislab.specfile import parse, serialize
 
 import oracles
 
@@ -196,6 +198,33 @@ def test_classify_chain_examples(figures):
     assert conv.tsb_poc and conv.ntsb_poc and conv.irreducible_class
     assert conv.kv in (True, None)
     assert conv.minimal is None
+
+
+def test_classify_chain_profiles_each_code_once(figures, monkeypatch):
+    # one elimination per start for the code and one for its dual: the dual
+    # code is profiled on the object that is_kv_trellis shares, not on a
+    # second Subspace for the same code
+    real_rref, real_profile = reduction.rref, reduction.span_profile
+    inside, count = [], [0]
+
+    def rref(mat):
+        count[0] += bool(inside)
+        return real_rref(mat)
+
+    def span_profile(code):
+        inside.append(code)
+        try:
+            return real_profile(code)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(reduction, "rref", rref)
+    monkeypatch.setattr(reduction, "span_profile", span_profile)
+    for name, want in (("fig1a", 6), ("sec8-chain-example", 14)):
+        fresh = parse(serialize(figures[name]))  # no profile memoized yet
+        count[0] = 0
+        classify_chain(fresh, 2)
+        assert count[0] == want == 2 * fresh.m, name
 
 
 def test_classify_chain_requires_full_support():

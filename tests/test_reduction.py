@@ -11,7 +11,8 @@ from trellislab.trellis import (
     is_isomorphic,
     realized_code,
 )
-from trellislab.analysis import property_report
+from trellislab import reduction
+from trellislab.analysis import global_trim_flags, property_report
 from trellislab.fragments import t_observability_profile
 from trellislab.reduction import (
     apply_step,
@@ -181,6 +182,28 @@ def test_two_reduction_rejects_inapplicable(figures):
         two_reduction_m1(figures["fig10a"])
     with pytest.raises(ValueError):
         two_reduction_m1(figures["fig2a"])  # not observable
+
+
+def test_two_reduction_off_trim_inputs_is_inapplicable(random_set):
+    # strict and conservative is guaranteed only on state- and branch-trim
+    # inputs; elsewhere a composite that is neither is reported as
+    # inapplicable (ValueError), never as a broken invariant (RuntimeError)
+    inapplicable = succeeded = 0
+    for t in random_set:
+        for side in (t, dualize(t)):
+            try:
+                two = two_reduction_m1(side)
+            except ValueError as exc:
+                if "composite" in str(exc):
+                    gt = global_trim_flags(side)
+                    assert not (gt.state_trim and gt.branch_trim)
+                    inapplicable += 1
+                continue
+            after = two.primal_result
+            assert any(a < b for a, b in zip(after.state_dims, side.state_dims))
+            assert all(a <= b for a, b in zip(after.constraint_dims(), side.constraint_dims()))
+            succeeded += 1
+    assert inapplicable and succeeded
 
 
 # --- conditions and zero-run reductions ---------------------------------------
@@ -365,8 +388,9 @@ def test_fig7_is_not_kv(figures):
     assert code.contains([0, 0, 0, 0, 0, 1, 0, 0, 1])
 
 
-def test_is_kv_reports_undecided_above_cap(figures):
-    assert is_kv_trellis(figures["fig7"], subset_cap=1) is None
+def test_is_kv_reports_undecided_above_cap(figures, monkeypatch):
+    monkeypatch.setattr(reduction, "MAX_KV_START_SETS", 1)
+    assert is_kv_trellis(figures["fig7"]) is None
 
 
 def test_dual_of_kv_is_kv():

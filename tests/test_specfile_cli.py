@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -7,13 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from trellislab.galois import FieldSpec, Subspace
-from trellislab.trellis import Trellis, realized_code
+from trellislab.trellis import Trellis, dualize, realized_code, time_reversed
 from trellislab import render, specfile
 from trellislab.corpus import default_corpus_dir
 from trellislab.cli import main
-from conftest import make_random_set
+from conftest import make_random_set, trellises
 
 
 def test_round_trip_corpus_files():
@@ -27,6 +29,17 @@ def test_round_trip_corpus_files():
 def test_round_trip_random():
     for t in make_random_set(40, seed=99):
         assert specfile.parse(specfile.serialize(t)) == t
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(trellises())
+def test_round_trip_any_trellis(t):
+    assert specfile.parse(specfile.serialize(t)) == t
+    # the same rows read over GF(11), where blocks are comma-separated
+    field = FieldSpec(11)
+    constraints = tuple(Subspace.span(field, c.ambient_dim, c.basis.entries) for c in t.constraints)
+    wide = Trellis(field, t.m, t.symbol_dims, t.state_dims, constraints)
+    assert specfile.parse(specfile.serialize(wide)) == wide
 
 
 def test_round_trip_large_prime():
@@ -83,13 +96,18 @@ generators
         specfile.parse("field 2\nlength 2\nsymbol-dims 1 1\nstate-dims 0 0\nconstraint 0\n")
 
 
+def _cli_env() -> dict[str, str]:
+    """The environment with this checkout's package on the import path, which
+    pytest's own `pythonpath` setting does not pass to a subprocess."""
+    return {**os.environ, "PYTHONPATH": str(Path(specfile.__file__).resolve().parents[1])}
+
+
 def _run_cli(*args: str) -> subprocess.CompletedProcess:
-    src = Path(specfile.__file__).resolve().parents[1]
     return subprocess.run(
         [sys.executable, "-m", "trellislab.cli", *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=_cli_env(),
     )
 
 
@@ -185,6 +203,50 @@ def test_render_node_names_distinct_above_gf7():
     names = re.findall(r'^  "([^"]+)" \[label=', render.to_dot(t), re.M)
     assert len(names) == 2 * 11 ** 3  # time 0 appears at both ends
     assert len(set(names)) == len(names)
+
+
+# sha256 prefixes of to_dot(t), serialize(time_reversed(t)), to_dot(dualize(t))
+# and serialize(time_reversed(dualize(t))) for every corpus entry, as written
+# when each function still sliced constraint rows by hand: reading rows
+# through `Trellis.split` must leave every byte of both outputs in place.
+RENDER_AND_REVERSAL_PINS = {
+    "fig10a": ("0fd7b29c9dcc9514", "a63e74b95f1f5132", "bd79c323ea97d7fa", "6accd48be34c4b76"),
+    "fig10b": ("bd79c323ea97d7fa", "6accd48be34c4b76", "0fd7b29c9dcc9514", "a63e74b95f1f5132"),
+    "fig12a": ("e4b648a57b974c81", "13a0b66e18d642c8", "373f5e1021790402", "4921a20c1282d5cc"),
+    "fig12b": ("373f5e1021790402", "4921a20c1282d5cc", "e4b648a57b974c81", "13a0b66e18d642c8"),
+    "fig14a": ("9a4138baa0c2c30f", "d6d911fd12df6915", "6ed2ea970fada36e", "8c9ab6b90c6403e3"),
+    "fig14b": ("50ec41907b07f918", "a3441438cdcf1311", "b08db98b954362b6", "b5b6a9c8ee47d745"),
+    "fig1a": ("cdbbd9873e369aa5", "46155ed6b19805ad", "13221a4dd2a0938c", "8e4f2183bf0806a2"),
+    "fig1b": ("13221a4dd2a0938c", "8e4f2183bf0806a2", "cdbbd9873e369aa5", "46155ed6b19805ad"),
+    "fig2a": ("3407fa8c037a68cf", "0b065eeda62ce78f", "ff591ef0218249d3", "fd6f5a2d2ba09f93"),
+    "fig2b": ("ff591ef0218249d3", "fd6f5a2d2ba09f93", "3407fa8c037a68cf", "0b065eeda62ce78f"),
+    "fig3a": ("7bd0a156a03ecad0", "bb6478d2b99757b1", "b3c07dfba95ba34a", "9539c8eea5e1054b"),
+    "fig3b": ("b3c07dfba95ba34a", "9539c8eea5e1054b", "7bd0a156a03ecad0", "bb6478d2b99757b1"),
+    "fig4a": ("bdde6d8c7f99395d", "f15060ada5b584a3", "60c3cca0e70e369b", "cd5a5e3870e4acb3"),
+    "fig4b": ("60c3cca0e70e369b", "cd5a5e3870e4acb3", "bdde6d8c7f99395d", "f15060ada5b584a3"),
+    "fig5a": ("7ccd22ad0c5d3497", "c7af1d692e8f16fb", "9e90ab4251005fa3", "0a973810a51645ad"),
+    "fig5b": ("9e90ab4251005fa3", "0a973810a51645ad", "7ccd22ad0c5d3497", "c7af1d692e8f16fb"),
+    "fig6": ("4f0648531dd9881a", "141f4335975fa1dc", "816de003da4da9cd", "8a86d9191105fc91"),
+    "fig7": ("1e3e9b55a81d5717", "edd12128cadc7304", "7a55404745f97713", "26594a8441c2c9b5"),
+    "fig8": ("ffa8b657dc8a5033", "d75a3a18b5ffc3e8", "f584afdd5073869f", "c86fa56715033c6f"),
+    "fig9": ("916377e1fadcf6b9", "8d79d9863062efd0", "5ebb4b98ec185a51", "69f0481511e715b6"),
+    "sec8-chain-example": ("0c06c86d1c4df096", "bbe267cefe0c5b95", "3ddf9abcf16cbe44", "8cb6a9a2129d7812"),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_render_and_time_reversal_pinned_on_corpus(figures):
+    assert sorted(figures) == sorted(RENDER_AND_REVERSAL_PINS)
+    for name, t in figures.items():
+        got = tuple(
+            digest
+            for side in (t, dualize(t))
+            for digest in (_sha(render.to_dot(side)), _sha(specfile.serialize(time_reversed(side))))
+        )
+        assert got == RENDER_AND_REVERSAL_PINS[name], name
 
 
 def test_render_expanded_intermediate(figures):
@@ -294,6 +356,15 @@ def test_cli_reduce_two_reduction(tmp_path, capsys, figures):
     ) == 2
 
 
+def test_cli_two_reduction_off_trim_input_is_inapplicable(tmp_path):
+    # fig14a is not branch-trim, so the composite need not be strict
+    result = _run_cli("reduce", corpus_file("fig14a"), str(tmp_path / "out.trellis"), "--method", "two-reduction")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stdout + result.stderr
+    assert result.stdout.startswith("no applicable method: ")
+    assert not (tmp_path / "out.trellis").exists()
+
+
 def test_cli_verify_corpus_detects_corruption(tmp_path, capsys, monkeypatch):
     src = default_corpus_dir()
     dst = tmp_path / "corpus"
@@ -324,6 +395,7 @@ def test_console_entry_point():
         else ["trellis-lab", "--help"],
         capture_output=True,
         text=True,
+        env=_cli_env(),
     )
     assert result.returncode == 0
     assert "verify-corpus" in result.stdout
