@@ -6,7 +6,9 @@ boundary state pairs joined by a valid path over constraints j..k-1; its
 unobservable space U keeps the pairs joined by an all-zero-symbol path.  T
 and U are ordered compositions of per-constraint relations: T_i is C_i
 projected on its (state-in | state-out) coordinates, U_i is C_i's
-cross-section there, and the empty interval gives the diagonal of S_j.
+cross-section there, the empty interval gives the diagonal of S_j, and a
+chain starts from that and the first local relation.  A start's reach, where
+its U chain vanishes, is exact if each U_i has a zero forward section, else m-1.
 Composing the C_i themselves gives the fragment's external behavior, in
 (s_j | a_j ... a_{k-1} | s_k) order: each step appends a_i and moves the end
 state.  s_k is a separate coordinate block even when the interval is the
@@ -107,12 +109,23 @@ def _relation_chain(t: Trellis, j: int, length: int, part: str) -> tuple[Subspac
     before and the next local relation; kept apart, so a query for U never
     composes the wider T."""
     key = ("transitions", j, part)
-    chain = t._cache.get(key) or (_diagonal(t, j),)
+    chain = t._cache.get(key) or (_diagonal(t, j), _local_relation(t, j, part))
     for n in range(len(chain) - 1, length):
         i = (j + n) % t.m
         chain += (compose(chain[-1], _local_relation(t, i, part), t.state_dims[i]),)
     t._cache[key] = chain
     return chain
+
+
+def _unobservable_reach(t: Trellis) -> tuple[int, ...]:
+    """reach[j]: the least n <= m-2 with U[j, j+n) = 0, else m-1.  Exact, as a zero
+    U composes to zero, unless some U_i has a nonzero forward section (a row zero
+    on its state-in block, which RREF puts first); then every start gets m-1."""
+    m, part = t.m, "unobservable"
+    if any(not any(r[: t.state_dims[i]]) for i in range(m) for r in _local_relation(t, i, part).basis.entries):
+        return (m - 1,) * m
+    reach = (next((n for n in range(m - 1) if _relation_chain(t, j, n, part)[n].is_zero()), m - 1) for j in range(m))
+    return tuple(reach)
 
 
 def transition_relation(t: Trellis, iv: Span, part: str) -> Subspace:

@@ -48,6 +48,7 @@ from .analysis import (
     observable,
 )
 from .fragments import (
+    _unobservable_reach,
     t_observability_profile,
     transition_relation,
     unobservable_state_space,
@@ -469,10 +470,16 @@ def find_zero_run_witness(t: Trellis, j: int, tlen: int):
 
 def _zero_run_sites(t: Trellis):
     """(side, j, tlen) for every zero-run witness of t or of its dual, by
-    increasing tlen, then start j, the primal side before the dual."""
-    for tlen in range(2, t.m):
-        for j in range(t.m):
-            for side in (t, dualize(t)):
+    increasing tlen, then start j, the primal side before the dual.  A site is
+    skipped where the reach shows its U zero, or the other side's U zero over
+    both intervals `_joins_zero` reads: there A and A' fail for every pair."""
+    sides = t, dualize(t)
+    m, reach = t.m, [_unobservable_reach(side) for side in sides]
+    for tlen in range(2, m):
+        for j in range(m):
+            for side, own, other in zip(sides, reach, reach[::-1]):
+                if m - tlen >= own[j] or tlen - 1 >= max(other[(j - tlen) % m], other[(j - tlen + 1) % m]):
+                    continue
                 if find_zero_run_witness(side, j, tlen) is not None:
                     yield side, j, tlen
 

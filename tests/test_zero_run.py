@@ -1,16 +1,19 @@
 """Zero-run sites: argument range, conditions A/A' against path enumeration
-and against the transition-space reading they replaced, and the driver's
-step records on the benchmark draws that take a zero-run step."""
+and against the transition-space reading they replaced, the site grid pruned
+by each start's unobservable reach against the full grid, and the driver's
+step records and witness searches on the benchmark draws."""
 
 import hashlib
 import json
 
 import pytest
+from hypothesis import assume, given, settings
 
-from trellislab.galois import Subspace
+from trellislab import reduction
+from trellislab.galois import Subspace, cross_section
 from trellislab.specfile import parse, serialize
 from trellislab.trellis import Span, dualize
-from trellislab.fragments import transition_relation
+from trellislab.fragments import _local_relation, _unobservable_reach, transition_relation
 from trellislab.reduction import (
     _zero_run_sites,
     audit_steps,
@@ -23,6 +26,7 @@ from trellislab.reduction import (
 )
 
 import oracles
+from conftest import trellises
 
 
 # --- one range check ------------------------------------------------------------
@@ -160,6 +164,72 @@ def test_site_search_matches_transition_space_conditions(figures, random_set):
     assert found == {(True, "A"), (True, "A-prime"), (False, "A"), (False, "A-prime")}
 
 
+# --- the grid pruned by the unobservable reach -----------------------------------
+
+def _fresh_sides(figures, random_set):
+    """Every corpus and random trellis and its dual, parsed anew so that no
+    chain is cached."""
+    return [parse(serialize(side)) for t in [*figures.values(), *random_set] for side in (t, dualize(t))]
+
+
+def _sites(t, search) -> list:
+    return [(s is t, j, tlen) for s, j, tlen in search(t)]
+
+
+def _forward_sections_zero(t) -> bool:
+    """Whether every U_i has a zero forward section {z : (0, z) in U_i}."""
+    for i in range(t.m):
+        u = _local_relation(t, i, "unobservable")
+        if not cross_section(u, range(t.state_dims[i], u.ambient_dim)).is_zero():
+            return False
+    return True
+
+
+def test_pruned_site_search_matches_full_grid(figures, random_set):
+    """The pruned search, run first on trellises with no chain cached, yields
+    the site sequence of the full grid, on either side of the pruning case."""
+    cases = {True: 0, False: 0}
+    for t in _fresh_sides(figures, random_set):
+        assert _sites(t, _zero_run_sites) == _sites(t, _reference_sites)
+        if t.m >= 3:
+            cases[_forward_sections_zero(t) and _forward_sections_zero(dualize(t))] += 1
+    assert cases[True] and cases[False]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(trellises())
+def test_pruned_site_search_matches_full_grid_on_any_trellis(t):
+    """Hypothesis-drawn trellises need not be proper, so many take the m-1
+    reach; the bound on the state dims only sizes the reference's pair
+    enumeration, as conftest's random set is sized."""
+    assume(t.field.p ** (2 * max(t.state_dims)) <= 729)
+    for side in (t, dualize(t)):
+        fresh = parse(serialize(side))
+        assert _sites(fresh, _zero_run_sites) == _sites(fresh, _reference_sites)
+
+
+def test_reach_is_where_each_unobservable_chain_vanishes(figures, random_set):
+    """With zero forward sections, reach[j] is the least n <= m-2 with
+    U[j, j+n) = 0 and every U[j, j+L) for reach[j] <= L <= m-2 is zero; with a
+    nonzero forward section every start gets m-1."""
+    cases = {True: 0, False: 0}
+    for t in _fresh_sides(figures, random_set):
+        m, reach = t.m, _unobservable_reach(t)
+        pruning = _forward_sections_zero(t)
+        cases[pruning] += 1
+        if not pruning:
+            assert reach == (m - 1,) * m
+            continue
+        for j in range(m):
+            zero = [transition_relation(t, Span(j, n, m), "unobservable").is_zero() for n in range(m - 1)]
+            assert reach[j] == next((n for n, z in enumerate(zero) if z), m - 1)
+            assert all(zero[reach[j]:])
+    assert cases[True] and cases[False]
+    fig14b_dual = dualize(figures["fig14b"])
+    assert not _forward_sections_zero(fig14b_dual)
+    assert _unobservable_reach(fig14b_dual) == (1, 1)
+
+
 # --- one shortest-span pass per code ---------------------------------------------
 
 def test_is_kv_trellis_enumerates_each_code_once(figures, monkeypatch):
@@ -195,3 +265,27 @@ def test_driver_step_records_pinned_on_bench_zero_run_draws(bench_inputs, tmp_pa
         assert len(zero_runs) == 1, draw
         records = json.dumps(report.records(), sort_keys=True)
         assert hashlib.sha256(records.encode()).hexdigest() == digest, draw
+
+
+# sha256 of json.dumps([reduce_driver(t).records() for the first 16
+# default-seed reduce-gf2 draws], sort_keys=True), recorded when every grid
+# site was searched (7,324 witness searches).
+FIRST_16_RECORDS_DIGEST = "879c4c12810729e3f601255553be0668f0f82eb370ddfd6d6999f153f540fde6"
+
+
+def test_driver_searches_few_zero_run_witnesses_on_bench_draws(bench_inputs, tmp_path, monkeypatch):
+    """A count, not a timing: the pruned grid leaves at most one witness
+    search per draw, and the step records stay the same."""
+    paths = bench_inputs.write_family("reduce-gf2", bench_inputs.DEFAULT_SEED, tmp_path)[:16]
+    calls = []
+    original = reduction.find_zero_run_witness
+
+    def counted(t, j, tlen):
+        calls.append((j, tlen))
+        return original(t, j, tlen)
+
+    monkeypatch.setattr(reduction, "find_zero_run_witness", counted)
+    records = [reduce_driver(parse(path.read_text())).records() for path in paths]
+    assert len(calls) <= 16
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == FIRST_16_RECORDS_DIGEST
