@@ -5,7 +5,10 @@ and by observability of the dual, and the two verdicts are cross-asserted;
 a disagreement is a bug in the linear algebra, not a property of the input.
 
 Cache keys in `Trellis._cache`: "global-trim" (the `GlobalTrim` flags) and
-"property-report" (the `PropertyReport`).
+"property-report" (the `PropertyReport`).  In a constraint's `Subspace.memo`,
+("block-ranks", offset, d) keeps the two rank facts `local_flags` reads off
+the d-column state block at that offset, so a constraint that a reduction
+step leaves alone is not re-ranked in the next trellis.
 """
 
 from __future__ import annotations
@@ -33,11 +36,18 @@ def local_flags(t: Trellis, i: int) -> tuple[bool, bool]:
     S_i (their S_i columns have rank dim S_i), and neither has a branch
     supported on S_i alone (their other columns keep rank dim C)."""
     prev, d = (i - 1) % t.m, t.state_dims[i]
-    lo = t.state_out_offset(prev)
-    sides = ((t.constraints[prev], range(lo, lo + d)), (t.constraints[i], range(d)))
-    trim = all(_column_rank(c, on) == d for c, on in sides)
-    rest = [(c, [k for k in range(c.ambient_dim) if k not in on]) for c, on in sides]
-    return trim, all(_column_rank(c, off) == c.dim for c, off in rest)
+    facts = [_block_facts(t.constraints[prev], t.state_out_offset(prev), d), _block_facts(t.constraints[i], 0, d)]
+    return all(f[0] for f in facts), all(f[1] for f in facts)
+
+
+def _block_facts(c: Subspace, lo: int, d: int) -> tuple[bool, bool]:
+    """(rank of c on columns lo..lo+d-1 is d, rank on the other columns is
+    dim c), kept in c.memo."""
+    key = ("block-ranks", lo, d)
+    if key not in c.memo:
+        off = [k for k in range(c.ambient_dim) if not lo <= k < lo + d]
+        c.memo[key] = (_column_rank(c, range(lo, lo + d)) == d, _column_rank(c, off) == c.dim)
+    return c.memo[key]
 
 
 def _column_rank(s: Subspace, cols) -> int:
@@ -112,15 +122,23 @@ def is_tpoc(t: Trellis) -> bool:
 
 @dataclass(frozen=True)
 class Connectivity:
-    connected: bool
-    component_count: int
+    connected: bool | None
+    component_count: int | None
     isolated_states: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+MAX_CONNECTED_ENUMERATED = 2**16
 
 
 def connected(t: Trellis) -> Connectivity:
     """Connectivity of the trellis diagram on states incident to at least one
     branch; states incident to none are reported on the side instead of
-    breaking connectivity."""
+    breaking connectivity.  Past MAX_CONNECTED_ENUMERATED states plus
+    branches, which would all be enumerated, it is undecided: None for
+    `connected` and `component_count`."""
+    dims, top = [*t.state_dims, *(c.dim for c in t.constraints)], MAX_CONNECTED_ENUMERATED.bit_length()
+    if sum(t.field.p ** min(d, top) for d in dims) > MAX_CONNECTED_ENUMERATED:
+        return Connectivity(None, None, ())
     index: dict[tuple[int, tuple[int, ...]], int] = {}
     vertices: list[tuple[int, tuple[int, ...]]] = []
     for i in range(t.m):
@@ -193,7 +211,7 @@ class PropertyReport:
     branch_trim: bool
     observable: bool
     controllable: bool
-    connected: bool
+    connected: bool | None
     nontrimmable: bool
     nonmergeable: bool
     unobservable_state_space: Subspace

@@ -107,7 +107,7 @@ def cmd_analyze(args) -> int:
     print(f"constraint dims {list(t.constraint_dims())}")
     print(f"behavior dim {rep.behavior_dim}, code dim {rep.code_dim}")
     for name in FLAG_NAMES:
-        print(f"{name:15s} {data[name]}")
+        print(f"{name:15s} {'undecided' if data[name] is None else data[name]}")
     for name, flags in (
         ("state-trim", rep.state_trim_at),
         ("branch-trim", rep.branch_trim_at),

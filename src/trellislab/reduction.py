@@ -3,7 +3,9 @@
 Primitive surgery (trim_to / merge_to / branch_trim / branch_expand) returns
 plain trellises and may change the realized code; everything wrapped in a
 ReductionStep is checked to preserve the code exactly and carries enough
-parameters to be replayed deterministically from a serialized record.
+parameters to be replayed deterministically from a serialized record.  The
+one check, `_same_code`, compares the external behavior of the interval the
+step rewrote, and the realized codes only when that does not decide it.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .analysis import (
 )
 from .fragments import (
     _unobservable_reach,
+    fragment,
     t_observability_profile,
     transition_relation,
     unobservable_state_space,
@@ -136,6 +139,29 @@ def merge_to(t: Trellis, i: int, y: Subspace) -> Trellis:
     )
 
 
+def _same_code(before: Trellis, after: Trellis, interval: Span) -> bool:
+    """Whether `after`, which rewrote `before` over `interval` [j, j+L),
+    realizes the same code: decided by the fragment when the rewrite stayed
+    inside the interval, else by comparing the realized codes.
+
+    Every trajectory cuts at S_j and S_{j+L} into a path across the interval
+    and a path across the rest (the cut-set argument of Forney, "Codes on
+    graphs: normal realizations", IEEE Trans. IT 2001).  If the two trellises
+    have equal constraints outside the interval and equal state spaces off
+    its interior, the outside paths are the same, and the inside paths enter
+    the code only through the fragment's external behavior (s_j | a | s_{j+L}).
+    So equal fragments give equal codes, also for L = m, where the code is
+    read off the fragment by setting s_{j+m} = s_j.  The converse fails: a
+    step may change the fragment and keep the code."""
+    times, inner = set(interval.times()), set(interval.interior())
+    local = (
+        all(a == b for i, (a, b) in enumerate(zip(before.constraints, after.constraints)) if i not in times)
+        and all(a == b for i, (a, b) in enumerate(zip(before.state_dims, after.state_dims)) if i not in inner)
+        and fragment(before, interval) == fragment(after, interval)
+    )
+    return local or realized_code(after) == realized_code(before)
+
+
 def branch_trim(t: Trellis, i: int) -> Trellis:
     """Replace C_i by the branches that occur on valid trajectories."""
     i %= t.m
@@ -156,7 +182,7 @@ def branch_expand(t: Trellis, i: int, new_branches: Subspace) -> Trellis:
     constraints = list(t.constraints)
     constraints[i] = total
     out = Trellis(t.field, t.m, t.symbol_dims, t.state_dims, tuple(constraints))
-    if realized_code(out) != realized_code(t):
+    if not _same_code(t, out, Span(i, 1, t.m)):
         raise ValueError("branch expansion changes the realized code")
     return out
 
@@ -224,7 +250,7 @@ def _make_step(
     after: Trellis,
     details: dict | None = None,
 ) -> ReductionStep:
-    if realized_code(after) != realized_code(before):
+    if not _same_code(before, after, interval):
         raise RuntimeError(f"{kind} step failed to preserve the realized code")
     smaller = all(a <= b for a, b in zip(after.state_dims, before.state_dims))
     shrank = any(a < b for a, b in zip(after.state_dims, before.state_dims))
@@ -516,7 +542,7 @@ def zero_run_expand(t: Trellis, j: int, tlen: int, witness_pair) -> Trellis:
         amb = sdims[i] + t.symbol_dims[i] + sdims[nxt]
         constraints.append(Subspace.span(t.field, amb, rows))
     out = Trellis(t.field, m, t.symbol_dims, tuple(sdims), tuple(constraints))
-    if realized_code(out) != realized_code(t):
+    if not _same_code(t, out, Span(k, tlen, m)):
         raise RuntimeError("expansion changed the realized code")
     if behavior(out).dim != behavior(t).dim + 1:
         raise RuntimeError("expansion must add exactly one unobservable trajectory")

@@ -1,8 +1,13 @@
+import json
+import re
+import time
+
 import pytest
 
 from trellislab.galois import GF2, Subspace, cross_section, project
 from trellislab.trellis import Span, Trellis, behavior, dualize, realized_code
 from trellislab.analysis import (
+    Connectivity,
     classify_chain,
     connected,
     controllability_audit,
@@ -17,6 +22,7 @@ from trellislab.fragments import unobservable_state_space
 from trellislab import reduction
 from trellislab.reduction import trim_to
 from trellislab.specfile import parse, serialize
+from trellislab.cli import main
 
 import oracles
 
@@ -135,6 +141,25 @@ def test_connected_reports_isolated_states():
     report = connected(t)
     assert report.connected  # only the used vertices count
     assert report.isolated_states == ((0, (1,)),)
+
+
+def test_connected_is_undecided_past_the_enumeration_cap(tmp_path, capsys):
+    # three 14-dimensional state spaces joined by the identity, one free
+    # symbol per time: 3 * 2^14 states and 3 * 2^15 branches
+    n = 14
+    rows = [[int(c in (k, n + 1 + k)) for c in range(2 * n + 1)] for k in range(n)]
+    c = Subspace.span(GF2, 2 * n + 1, rows + [[int(q == n) for q in range(2 * n + 1)]])
+    t = Trellis(GF2, 3, (1, 1, 1), (n, n, n), (c, c, c))
+    start = time.perf_counter()
+    assert connected(t) == Connectivity(None, None, ())
+    assert time.perf_counter() - start < 0.5
+    path = tmp_path / "wide.trellis"
+    path.write_text(serialize(t))
+    assert main(["analyze", str(path)]) == 0
+    assert re.search(r"^connected +undecided$", capsys.readouterr().out, re.M)
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["connected"] is None
+    assert time.perf_counter() - start < 10
 
 
 def test_state_trim_controllable_iff_connected(random_set):

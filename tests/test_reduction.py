@@ -1,10 +1,13 @@
+import json
 import random
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from trellislab.galois import GF2, GF3, Subspace, orthogonal
 from trellislab.trellis import (
+    Span,
     Trellis,
     behavior,
     dualize,
@@ -13,6 +16,8 @@ from trellislab.trellis import (
 )
 from trellislab import reduction
 from trellislab.analysis import global_trim_flags, property_report
+from trellislab.corpus import verify_corpus
+from trellislab.specfile import parse, serialize
 from trellislab.fragments import t_observability_profile
 from trellislab.reduction import (
     apply_step,
@@ -37,7 +42,7 @@ from trellislab.reduction import (
     unobs_trim,
     zero_run_reduce,
 )
-from conftest import random_subspace
+from conftest import random_subspace, trellises
 
 import oracles
 
@@ -606,6 +611,25 @@ def test_replay_reproduces_results(figures):
     assert apply_step(figures["fig1b"], step.record()) == step.result
 
 
+def _replays_exactly(t: Trellis) -> None:
+    """The driver's records, through JSON, replayed on a freshly parsed copy
+    of t give the driver's final trellis, byte for byte."""
+    report = reduce_driver(t)
+    records = json.loads(json.dumps(report.records()))
+    assert serialize(replay(parse(serialize(t)), records)) == serialize(report.final)
+
+
+def test_replay_reproduces_driver_results_on_random_set(random_set):
+    for t in random_set:
+        _replays_exactly(t)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(trellises())
+def test_replay_reproduces_driver_results_on_any_trellis(t):
+    _replays_exactly(t)
+
+
 def test_step_records_are_json_ready(figures):
     import json
 
@@ -613,3 +637,71 @@ def test_step_records_are_json_ready(figures):
     for step in two.primal_steps + two.dual_steps:
         encoded = json.dumps(step.record())
         assert json.loads(encoded) == step.record()
+
+
+# --- code preservation over the changed interval -------------------------------
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(trellises(), st.data())
+def test_same_code_agrees_with_the_realized_codes(t, data):
+    """Trim or merge of S_i by a drawn subspace, or a drawn replacement of
+    C_i, checked over the step's own interval or over any interval: the
+    verdict is always the comparison of the realized codes."""
+    assume(t.m >= 2)
+    i = data.draw(st.integers(0, t.m - 1))
+    kind = data.draw(st.sampled_from(("trim", "merge", "replace")))
+    if kind == "replace":
+        n = t.constraints[i].ambient_dim
+        rows = data.draw(st.lists(st.lists(st.integers(0, t.field.p - 1), min_size=n, max_size=n), max_size=n))
+        constraints = list(t.constraints)
+        constraints[i] = Subspace.span(t.field, n, rows)
+        after = Trellis(t.field, t.m, t.symbol_dims, t.state_dims, tuple(constraints))
+        own = Span(i, 1, t.m)
+    else:
+        d = t.state_dims[i]
+        rows = data.draw(st.lists(st.lists(st.integers(0, t.field.p - 1), min_size=d, max_size=d), max_size=d))
+        after = (trim_to if kind == "trim" else merge_to)(t, i, Subspace.span(t.field, d, rows))
+        own = Span((i - 1) % t.m, 2, t.m)
+    if data.draw(st.booleans()):
+        own = Span(data.draw(st.integers(0, t.m - 1)), data.draw(st.integers(1, t.m - 1)), t.m)
+    assert reduction._same_code(t, after, own) == (realized_code(after) == realized_code(t))
+
+
+def test_same_code_takes_both_branches_on_corpus_chains_and_driver_runs(random_set, monkeypatch):
+    """Over the corpus checks (which replay its chains step by step) and
+    driver runs on the random set, the fragment decides some steps and the
+    realized codes the others, and every verdict is their comparison."""
+    checks = []
+    code_calls = []
+    same_code, code = reduction._same_code, reduction.realized_code
+
+    def counted_code(t):
+        code_calls.append(t)
+        return code(t)
+
+    def recorded(before, after, interval):
+        calls = len(code_calls)
+        verdict = same_code(before, after, interval)
+        checks.append((before, after, verdict, len(code_calls) > calls))
+        return verdict
+
+    monkeypatch.setattr(reduction, "realized_code", counted_code)
+    monkeypatch.setattr(reduction, "_same_code", recorded)
+    assert all(not r.failed for r in verify_corpus())
+    for t in random_set:
+        reduce_driver(t)
+    monkeypatch.undo()
+    assert {fallback for *_, fallback in checks} == {False, True}
+    for before, after, verdict, _ in checks:
+        assert verdict == (realized_code(after) == realized_code(before))
+
+
+def test_make_step_rejects_a_code_changing_rewrite_of_its_interval(figures):
+    t = figures["fig1a"]
+    after = trim_to(t, 1, Subspace.zero(GF2, t.state_dims[1]))
+    assert realized_code(after) != realized_code(t)
+    for start in range(t.m):
+        for length in range(1, t.m + 1):
+            assert not reduction._same_code(t, after, Span(start, length, t.m))
+    with pytest.raises(RuntimeError, match="trim step failed to preserve the realized code"):
+        reduction._make_step("trim", {"time": 1}, Span(0, 2, t.m), None, t, after)

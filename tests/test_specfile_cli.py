@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from trellislab.galois import FieldSpec, Subspace
 from trellislab.trellis import Trellis, dualize, realized_code, time_reversed
@@ -62,6 +62,42 @@ generators
 110 @ 1+3
 """
     assert specfile.parse(text) == figures["fig1a"]
+
+
+PRODUCT_FORM = "field 2\nlength 3\nsymbol-dims 1 1 1\n\ngenerators\n101 @ 0+3\n110 @ 1+3\n"
+SPEC_TEXTS = [p.read_text() for p in sorted(default_corpus_dir().glob("*.trellis"))] + [PRODUCT_FORM]
+SPEC_CHARS = st.one_of(st.sampled_from("0123456789 \n|,@+-#"), st.characters())
+
+
+def _parses_or_spec_error(text: str) -> None:
+    try:
+        assert isinstance(specfile.parse(text), Trellis)
+    except specfile.SpecFileError:
+        pass
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.text(SPEC_CHARS))
+def test_parse_any_text_gives_a_trellis_or_a_spec_error(text):
+    _parses_or_spec_error(text)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(
+    st.sampled_from(SPEC_TEXTS),
+    st.lists(st.tuples(st.sampled_from("idr"), st.floats(0, 1, exclude_max=True), SPEC_CHARS), min_size=1, max_size=8),
+)
+def test_parse_mutated_spec_files_gives_a_trellis_or_a_spec_error(text, edits):
+    """Insert, delete or replace characters of a corpus file or of a
+    product-form file at drawn relative positions."""
+    chars = list(text)
+    for op, where, ch in edits:
+        k = int(where * (len(chars) + (op == "i")))
+        if op == "i":
+            chars.insert(k, ch)
+        elif chars:
+            chars[k:k + 1] = [] if op == "d" else [ch]
+    _parses_or_spec_error("".join(chars))
 
 
 def test_parse_errors_carry_line_numbers():
