@@ -130,14 +130,18 @@ class Connectivity:
 MAX_CONNECTED_ENUMERATED = 2**16
 
 
+def past_enumeration_cap(t: Trellis) -> bool:
+    """Whether t has more states plus branches than `connected` and `render` enumerate."""
+    dims, top = [*t.state_dims, *(c.dim for c in t.constraints)], MAX_CONNECTED_ENUMERATED.bit_length()
+    return sum(t.field.p ** min(d, top) for d in dims) > MAX_CONNECTED_ENUMERATED
+
+
 def connected(t: Trellis) -> Connectivity:
     """Connectivity of the trellis diagram on states incident to at least one
     branch; states incident to none are reported on the side instead of
-    breaking connectivity.  Past MAX_CONNECTED_ENUMERATED states plus
-    branches, which would all be enumerated, it is undecided: None for
-    `connected` and `component_count`."""
-    dims, top = [*t.state_dims, *(c.dim for c in t.constraints)], MAX_CONNECTED_ENUMERATED.bit_length()
-    if sum(t.field.p ** min(d, top) for d in dims) > MAX_CONNECTED_ENUMERATED:
+    breaking connectivity.  Past the enumeration cap it is undecided: None
+    for `connected` and `component_count`."""
+    if past_enumeration_cap(t):
         return Connectivity(None, None, ())
     index: dict[tuple[int, tuple[int, ...]], int] = {}
     vertices: list[tuple[int, tuple[int, ...]]] = []

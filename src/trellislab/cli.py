@@ -204,7 +204,11 @@ def cmd_reduce(args) -> int:
 
 def cmd_render(args) -> int:
     t = _load(args.file)
-    _write(args.out, render.to_dot(t))
+    try:
+        dot = render.to_dot(t)
+    except ValueError as exc:
+        raise SystemExit(f"error: {args.file}: {exc}")
+    _write(args.out, dot)
     print(f"wrote {args.out}")
     return 0
 

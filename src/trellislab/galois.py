@@ -28,11 +28,13 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A prime field GF(p)."""
+    """A prime field GF(p), p < 2^31."""
 
     p: int
 
     def __post_init__(self) -> None:
+        if self.p >= 2**31:  # bounds is_prime's trial division to 46,341 steps
+            raise ValueError(f"field modulus too large, got {self.p}")
         if not is_prime(self.p):
             raise ValueError(f"field modulus must be prime, got {self.p}")
 

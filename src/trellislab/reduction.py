@@ -416,7 +416,7 @@ def two_reduction_m1(t: Trellis) -> TwoReduction:
     y = orthogonal(primal_trim.details["trim_basis"])
     dual_merge = merge_step(dual_bt.result, i, y, note="mirror of the primal trim")
     iso = is_isomorphic(dualize(primal_trim.result), dual_merge.result)
-    if iso.isomorphic is False:
+    if iso.isomorphic is not True:
         raise RuntimeError("dual pair of 2-reductions failed to mirror")
     composite_strict = any(
         a < b for a, b in zip(primal_trim.result.state_dims, t.state_dims)
@@ -751,8 +751,8 @@ def is_kv_trellis(t: Trellis) -> bool | None:
     """Bounded search for a shortest-span generator set whose product trellis
     is isomorphic to t.  None when the search space exceeds a cap (more than
     MAX_ENUMERATED_WORDS codewords, MAX_KV_START_SETS start sets or, for one
-    start set, MAX_KV_WORD_COMBOS word combinations) or an isomorphism check
-    was undecided."""
+    start set, MAX_KV_WORD_COMBOS word combinations) or an isomorphism test
+    was undecided, which needs t not state-trim (each candidate is observable)."""
     if any(d != 1 for d in t.symbol_dims):
         return False
     code = realized_code(t)

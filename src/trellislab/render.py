@@ -2,11 +2,13 @@
 
 States appear as per-time columns (time 0 duplicated at both ends), dashed
 edges carry the zero symbol, solid edges a nonzero one.  Output is fully
-deterministic: states in lexicographic order, edges sorted.
+deterministic: states in lexicographic order, edges sorted.  A trellis past
+`analysis.past_enumeration_cap` is refused with ValueError.
 """
 
 from __future__ import annotations
 
+from .analysis import MAX_CONNECTED_ENUMERATED, past_enumeration_cap
 from .galois import Subspace
 from .specfile import _format_block
 from .trellis import Trellis
@@ -23,6 +25,8 @@ def _node(col: int, vec, p: int) -> str:
 
 
 def to_dot(t: Trellis) -> str:
+    if past_enumeration_cap(t):
+        raise ValueError(f"more than {MAX_CONNECTED_ENUMERATED} states plus branches to draw")
     lines = ["digraph trellis {", "  rankdir=LR;", '  node [shape=circle, fontsize=10];']
     cols = t.m + 1
     p = t.field.p

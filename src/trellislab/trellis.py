@@ -27,6 +27,7 @@ from .galois import (
     orthogonal,
     project,
     rank,
+    solve_particular,
 )
 
 
@@ -309,103 +310,59 @@ def dualize(t: Trellis) -> Trellis:
 
 @dataclass(frozen=True)
 class IsoResult:
-    """Outcome of the bounded isomorphism search.
-
-    `isomorphic` is None when the search was abandoned above the dimension
-    cap; otherwise a witness list of invertible state maps is included for
-    positive answers.
-    """
+    """Outcome of `is_isomorphic`, None past its cap; True carries the maps x -> x phi_i."""
 
     isomorphic: bool | None
     witness: tuple[Mat, ...] | None = None
     note: str = ""
 
 
-_GL_CACHE: dict[tuple[int, int], list[tuple[tuple[int, ...], ...]]] = {}
-
-
-def _general_linear(p: int, n: int) -> list[tuple[tuple[int, ...], ...]]:
-    key = (p, n)
-    if key in _GL_CACHE:
-        return _GL_CACHE[key]
-    out = []
-    if n == 0:
-        out.append(())
-    else:
-        field = FieldSpec(p)
-        for flat in iter_product(range(p), repeat=n * n):
-            rows = tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(n))
-            if rank(Mat(field, n, rows)) == n:
-                out.append(rows)
-    _GL_CACHE[key] = out
-    return out
-
-
-def _map_constraint(t: Trellis, i: int, left: tuple, right: tuple) -> Subspace:
-    """C_i with its state-in block times the matrix `left` and its state-out
-    block times `right`."""
-    c, p = t.constraints[i], t.field.p
-    left_cols, right_cols = tuple(zip(*left)), tuple(zip(*right))
-
-    def times(v: tuple[int, ...], cols: tuple) -> tuple[int, ...]:
-        return tuple(sum(map(mul, v, col)) % p for col in cols)
-
-    rows = []
-    for b in c.basis.entries:
-        s_in, a, s_out = t.split(i, b)
-        rows.append(times(s_in, left_cols) + a + times(s_out, right_cols))
-    return Subspace.span(c.field, c.ambient_dim, rows)
-
-
-ISO_MAX_STATE_DIM = 3
-ISO_MAX_FIELD = 3
+ISO_MAX_CANDIDATES = 3**9  # as many as there are 3 x 3 matrices over GF(3)
 
 
 def is_isomorphic(a: Trellis, b: Trellis) -> IsoResult:
-    """Decide linear trellis isomorphism by exhaustive search over invertible
-    state maps, with pruning by dimension profiles.
+    """Decide linear trellis isomorphism: invertible state maps phi_i with
+    (x, s, y) -> (x phi_i, s, y phi_{i+1}) taking each C_i of a onto b's.
 
-    Above the caps (a state dim above ISO_MAX_STATE_DIM or p above
-    ISO_MAX_FIELD) the search is abandoned and reported as undecided rather
-    than silently false.
-    """
+    The maps solve one linear system in their entries: each basis row
+    (x, s, y) of a's C_i and parity check (h_in, h_a, h_out) of b's give
+    h_in.(x phi_i) + h_out.(y phi_{i+1}) = -h_a.s.  A particular solution
+    plus each kernel vector in turn is tried until all blocks are invertible.
+    This is exact: invertible blocks map a's C_i into b's injectively, and
+    equal constraint dims make the image all of it.  If a is state-trim and
+    b observable (say both observable and state-trim), the kernel is zero: a
+    kernel element maps each trajectory of a to a zero-symbol trajectory of
+    b, which is zero, and a's trajectory states span every S_i.  Past
+    ISO_MAX_CANDIDATES solutions it is undecided."""
     if a.m != b.m or a.field != b.field or a.symbol_dims != b.symbol_dims:
         raise ValueError("isomorphism requires equal length, field, and symbol dims")
     if a.state_dims != b.state_dims:
         return IsoResult(False, note="state dimension profiles differ")
     if a.constraint_dims() != b.constraint_dims():
         return IsoResult(False, note="constraint dimension profiles differ")
-    if max(a.state_dims, default=0) > ISO_MAX_STATE_DIM or a.field.p > ISO_MAX_FIELD:
-        return IsoResult(None, note="search abandoned above the dimension cap")
-    m = a.m
-    p = a.field.p
-    start = min(range(m), key=lambda i: a.state_dims[i])
-    order = [(start + k) % m for k in range(m)]
-    groups = {i: _general_linear(p, a.state_dims[i]) for i in set(order)}
-
-    def extend(pos: int, maps: dict[int, tuple]) -> dict[int, tuple] | None:
-        if pos == m:
-            return maps
-        i = order[pos]
-        nxt = (i + 1) % m
-        candidates = [maps[nxt]] if nxt in maps else groups[nxt]
-        for cand in candidates:
-            if _map_constraint(a, i, maps[i], cand) != b.constraints[i]:
-                continue
-            added = nxt not in maps
-            if added:
-                maps[nxt] = cand
-            got = extend(pos + 1, maps)
-            if got is not None:
-                return got
-            if added:
-                del maps[nxt]
-        return None
-
-    for phi0 in groups[start]:
-        got = extend(0, {start: phi0})
-        if got is not None:
-            witness = tuple(Mat(a.field, a.state_dims[i], got[i]) for i in range(m))
+    p, dims = a.field.p, a.state_dims
+    offsets = [sum(d * d for d in dims[:i]) for i in range(a.m + 1)]
+    rows, rhs = [], []
+    for i in range(a.m):
+        checks = [b.split(i, h) for h in orthogonal(b.constraints[i]).basis.entries]
+        for row, (h_in, h_a, h_out) in iter_product(a.constraints[i].basis.entries, checks):
+            (x, s, y), eq = a.split(i, row), [0] * offsets[-1]
+            for j, v, h in ((i, x, h_in), ((i + 1) % a.m, y, h_out)):
+                for r, c in iter_product(range(dims[j]), repeat=2):
+                    eq[offsets[j] + r * dims[j] + c] += v[r] * h[c]
+            rows.append(eq)
+            rhs.append(-sum(map(mul, h_a, s)))
+    system = Mat.from_rows(a.field, offsets[-1], rows)
+    base = solve_particular(system, rhs)
+    if base is None:
+        return IsoResult(False)
+    free = kernel(system)
+    if p ** free.dim > ISO_MAX_CANDIDATES:
+        return IsoResult(None, note=f"{p}^{free.dim} candidate maps exceed the cap")
+    for v in free.vectors():
+        flat = iter([(x + y) % p for x, y in zip(base, v)])
+        witness = tuple(Mat(a.field, d, tuple(tuple(next(flat) for _ in range(d)) for _ in range(d))) for d in dims)
+        if all(rank(w) == w.cols for w in witness):
             return IsoResult(True, witness=witness)
     return IsoResult(False)
 

@@ -2,7 +2,8 @@
 
 Everything here avoids the library's elimination/kernel/solve routines:
 membership and spans are computed by explicit enumeration, behaviors by
-walking branches.  Kept deliberately dumb.  The one exception is
+walking branches, isomorphism by trying every tuple of invertible state maps.
+Kept deliberately dumb.  The one exception is
 `kernel_fragment`, the reference for fragment behaviors too large to walk: it
 takes `galois.kernel` of the fragment's scattered parity checks, not the
 `compose` chains behind `fragments.fragment`.
@@ -10,6 +11,7 @@ takes `galois.kernel` of the fragment's scattered parity checks, not the
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product as iter_product
 
 from trellislab.galois import Mat, Subspace, kernel, project
@@ -172,3 +174,45 @@ def kernel_fragment(t, iv):
     keep = [*range(sym + t.state_dims[iv.start]), *range(st_off[-1], n)]  # symbols, s_j, s_k
     external = project(internal, keep)
     return sym, internal, external
+
+
+def times_matrix(p: int, x, rows) -> tuple[int, ...]:
+    """The row vector x times the square matrix with the given rows."""
+    return tuple(sum(x[r] * rows[r][c] for r in range(len(rows))) % p for c in range(len(rows)))
+
+
+@cache
+def invertible_matrices(p: int, d: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every invertible d x d matrix over GF(p), as row tuples in
+    lexicographic order: those M with x M nonzero for every nonzero x."""
+    nonzero = [x for x in all_vectors(p, d) if any(x)]
+    out = []
+    for flat in all_vectors(p, d * d):
+        rows = tuple(flat[r * d:(r + 1) * d] for r in range(d))
+        if all(any(times_matrix(p, x, rows)) for x in nonzero):
+            out.append(rows)
+    return out
+
+
+def isomorphic(a, b) -> bool:
+    """Whether some tuple of invertible state maps phi_i takes every branch
+    (x, s, y) of a's C_i to a branch (x phi_i, s, y phi_{i+1}) of b's, with
+    the branch sets onto each other: every tuple is tried in turn."""
+    if a.state_dims != b.state_dims:
+        return False
+    p, m, sdims, adims = a.field.p, a.m, a.state_dims, a.symbol_dims
+    sources = [sorted(branch_set(a, i)) for i in range(m)]
+    targets = [branch_set(b, i) for i in range(m)]
+    for maps in iter_product(*(invertible_matrices(p, d) for d in sdims)):
+        for i in range(m):
+            cut = sdims[i] + adims[i]
+            image = {
+                times_matrix(p, v[:sdims[i]], maps[i]) + v[sdims[i]:cut]
+                + times_matrix(p, v[cut:], maps[(i + 1) % m])
+                for v in sources[i]
+            }
+            if image != targets[i]:
+                break
+        else:
+            return True
+    return False

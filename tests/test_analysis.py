@@ -19,7 +19,7 @@ from trellislab.analysis import (
     property_report,
 )
 from trellislab.fragments import unobservable_state_space
-from trellislab import reduction
+from trellislab import reduction, render
 from trellislab.reduction import trim_to
 from trellislab.specfile import parse, serialize
 from trellislab.cli import main
@@ -143,13 +143,16 @@ def test_connected_reports_isolated_states():
     assert report.isolated_states == ((0, (1,)),)
 
 
-def test_connected_is_undecided_past_the_enumeration_cap(tmp_path, capsys):
-    # three 14-dimensional state spaces joined by the identity, one free
-    # symbol per time: 3 * 2^14 states and 3 * 2^15 branches
-    n = 14
+def wide_trellis(n: int = 14) -> Trellis:
+    """Three n-dimensional state spaces joined by the identity, one free
+    symbol per time: 3 * 2^n states and 3 * 2^(n+1) branches."""
     rows = [[int(c in (k, n + 1 + k)) for c in range(2 * n + 1)] for k in range(n)]
     c = Subspace.span(GF2, 2 * n + 1, rows + [[int(q == n) for q in range(2 * n + 1)]])
-    t = Trellis(GF2, 3, (1, 1, 1), (n, n, n), (c, c, c))
+    return Trellis(GF2, 3, (1, 1, 1), (n, n, n), (c, c, c))
+
+
+def test_connected_is_undecided_past_the_enumeration_cap(tmp_path, capsys):
+    t = wide_trellis()
     start = time.perf_counter()
     assert connected(t) == Connectivity(None, None, ())
     assert time.perf_counter() - start < 0.5
@@ -160,6 +163,22 @@ def test_connected_is_undecided_past_the_enumeration_cap(tmp_path, capsys):
     assert main(["analyze", str(path), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["connected"] is None
     assert time.perf_counter() - start < 10
+
+
+def test_render_refuses_past_the_enumeration_cap(tmp_path):
+    t = wide_trellis()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="states plus branches"):
+        render.to_dot(t)
+    path, out = tmp_path / "wide.trellis", tmp_path / "wide.dot"
+    path.write_text(serialize(t))
+    with pytest.raises(SystemExit) as exit_:
+        main(["render", str(path), str(out)])
+    assert exit_.value.code == f"error: {path}: more than 65536 states plus branches to draw"
+    assert not out.exists()
+    assert time.perf_counter() - start < 2
+    # below the cap it still draws every branch
+    assert render.to_dot(wide_trellis(4)).count(" -> ") == 3 * 2**5
 
 
 def test_state_trim_controllable_iff_connected(random_set):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from trellislab.galois import GF2, GF3, Subspace, orthogonal
 from trellislab.trellis import (
+    IsoResult,
     Span,
     Trellis,
     behavior,
@@ -180,6 +181,13 @@ def test_two_reduction_on_bcjr_example(figures):
         for a, b in zip(two.primal_result.constraint_dims(), fig3a.constraint_dims())
     )
     assert is_isomorphic(dualize(two.primal_result), two.dual_result).isomorphic is True
+
+
+def test_two_reduction_mirror_check_fails_closed(figures, monkeypatch):
+    # an undecided mirror check raises, as a failed one does
+    monkeypatch.setattr(reduction, "is_isomorphic", lambda a, b: IsoResult(None, note="cap"))
+    with pytest.raises(RuntimeError, match="failed to mirror"):
+        two_reduction_m1(figures["fig3a"])
 
 
 def test_two_reduction_rejects_inapplicable(figures):

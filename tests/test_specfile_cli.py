@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,20 @@ def test_negative_dims_fail_closed(tmp_path):
     result = _run_cli("analyze", str(path))
     assert result.returncode == 1
     assert result.stderr == f"error: {path}: line 3: symbol-dims must not be negative\n"
+
+
+def test_long_field_modulus_fails_closed_fast(tmp_path):
+    # (10^8+7)(10^8+37): rejected by size before any trial division
+    path = tmp_path / "long.trellis"
+    path.write_text("field 10000004400000259\nlength 1\nsymbol-dims 1\nstate-dims 0\n\nconstraint 0\n")
+    start = time.perf_counter()
+    result = _run_cli("analyze", str(path))
+    assert time.perf_counter() - start < 2
+    assert result.returncode == 1
+    assert result.stderr == f"error: {path}: field modulus too large, got 10000004400000259\n"
+    # the largest prime below the bound still parses
+    t = specfile.parse("field 2147483647\nlength 1\nsymbol-dims 1\nstate-dims 0\n\nconstraint 0\n|5|\n")
+    assert t.field.p == 2**31 - 1
 
 
 def test_unreadable_input_fails_closed(tmp_path):

@@ -1,6 +1,10 @@
-import pytest
+import random
+from math import prod
 
-from trellislab.galois import GF2, GF3, Mat, Subspace, orthogonal
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from trellislab.galois import GF2, GF3, FieldSpec, Mat, Subspace, orthogonal, rank
 from trellislab.trellis import (
     Generator,
     Span,
@@ -14,6 +18,7 @@ from trellislab.trellis import (
     time_reversed,
     validate,
 )
+from conftest import trellises
 import oracles
 
 
@@ -233,6 +238,125 @@ def test_isomorphism_reports_undecided_above_cap():
 def test_isomorphism_requires_matching_shapes(figures):
     with pytest.raises(ValueError):
         is_isomorphic(figures["fig1a"], figures["fig3a"])
+
+
+def recoordinatized(t: Trellis, maps) -> Trellis:
+    """t with every state x of S_i replaced by x maps[i] (a matrix as row
+    tuples), in both constraints that S_i touches."""
+    p, m = t.field.p, t.m
+    constraints = []
+    for i in range(m):
+        rows = []
+        for row in t.constraints[i].basis.entries:
+            x, s, y = t.split(i, row)
+            rows.append(oracles.times_matrix(p, x, maps[i]) + s + oracles.times_matrix(p, y, maps[(i + 1) % m]))
+        constraints.append(Subspace.span(t.field, t.constraint_ambient(i), rows))
+    return Trellis(t.field, m, t.symbol_dims, t.state_dims, tuple(constraints))
+
+
+def assert_witness(a: Trellis, b: Trellis, iso) -> None:
+    """A True verdict's witness is invertible and maps a's constraints onto b's."""
+    assert iso.isomorphic is True
+    assert [(w.rows, rank(w)) for w in iso.witness] == [(d, d) for d in a.state_dims]
+    assert recoordinatized(a, [w.entries for w in iso.witness]) == b
+
+
+def drawn_constraint(data, field: FieldSpec, n: int, dim: int | None = None) -> Subspace:
+    """A drawn subspace of GF(p)^n: the span of `dim` rows, or of up to n."""
+    row = st.lists(st.integers(0, field.p - 1), min_size=n, max_size=n)
+    rows = st.lists(row, max_size=n) if dim is None else st.lists(row, min_size=dim, max_size=dim)
+    return Subspace.span(field, n, data.draw(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trellises(), st.data())
+def test_isomorphism_matches_brute_force_on_any_trellis(t, data):
+    # sized for the oracle, which tries every tuple of state maps
+    p = t.field.p
+    assume(prod(p ** (d * d) for d in t.state_dims) <= 1024)
+    kind = data.draw(st.sampled_from(("copy", "changed copy", "pair")))
+    if kind == "pair":
+        constraints = [drawn_constraint(data, t.field, t.constraint_ambient(i)) for i in range(t.m)]
+        other = Trellis(t.field, t.m, t.symbol_dims, t.state_dims, tuple(constraints))
+    else:
+        maps = [data.draw(st.sampled_from(oracles.invertible_matrices(p, d))) for d in t.state_dims]
+        other = recoordinatized(t, maps)
+        if kind == "changed copy":
+            i = data.draw(st.integers(0, t.m - 1))
+            changed = drawn_constraint(data, t.field, t.constraint_ambient(i), t.constraints[i].dim)
+            constraints = other.constraints[:i] + (changed,) + other.constraints[i + 1:]
+            other = Trellis(t.field, t.m, t.symbol_dims, t.state_dims, constraints)
+    iso = is_isomorphic(t, other)
+    assert iso.isomorphic is oracles.isomorphic(t, other)
+    if kind == "copy":
+        assert iso.isomorphic is True
+    if iso.isomorphic:
+        assert_witness(t, other, iso)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_isomorphism_decides_above_the_old_search_caps(p):
+    # four independent generators whose spans all pass through S_0, so
+    # dim S_0 = 4; their product is observable and state-trim, so the
+    # linear system has at most one solution
+    rng, field, m = random.Random(p), FieldSpec(p), 6
+    spans = [Span(5, 3, m), Span(4, 3, m), Span(3, 4, m), Span(2, 5, m)]
+    words = []
+    while rank(Mat.from_rows(field, m, words)) < len(spans):
+        words = []
+        for sp in spans:
+            word = [0] * m
+            for u, i in enumerate(sp.times()):
+                word[i] = rng.randrange(1 if u in (0, sp.length - 1) else 0, p)
+            words.append(tuple(word))
+    t = product([elementary(field, Generator(w, sp), unit_dims(m)) for w, sp in zip(words, spans)])
+    assert t.state_dims[0] == 4
+    maps = []
+    for d in t.state_dims:
+        mat = Mat(field, 0, ())
+        while mat.rows < d or rank(mat) < d:
+            mat = Mat.from_rows(field, d, [[rng.randrange(p) for _ in range(d)] for _ in range(d)])
+        maps.append(mat.entries)
+    copy = recoordinatized(t, maps)
+    iso = is_isomorphic(t, copy)
+    assert_witness(t, copy, iso)
+    assert [w.entries for w in iso.witness] == maps
+    # one symbol entry of one constraint row changed, at equal dims: the
+    # code changes, so no state maps can make the two isomorphic
+    x, s, y = copy.split(0, copy.constraints[0].basis.entries[0])
+    rows = [x + ((s[0] + 1) % p,) + y, *copy.constraints[0].basis.entries[1:]]
+    changed_c = Subspace.span(field, copy.constraint_ambient(0), rows)
+    changed = Trellis(field, m, t.symbol_dims, t.state_dims, (changed_c,) + copy.constraints[1:])
+    assert changed.constraint_dims() == t.constraint_dims()
+    assert realized_code(changed) != realized_code(t)
+    assert is_isomorphic(t, changed).isomorphic is False
+
+
+def test_isomorphism_on_length_one_trellises():
+    # for m = 1 both state blocks of C_0 are S_0, under the one map phi_0
+    c = Subspace.span(GF3, 5, [[1, 0, 1, 0, 1], [0, 1, 0, 1, 1]])
+    t = Trellis(GF3, 1, (1,), (2,), (c,))
+    for maps in oracles.invertible_matrices(3, 2)[::7]:
+        copy = recoordinatized(t, [maps])
+        assert_witness(t, copy, is_isomorphic(t, copy))
+        assert oracles.isomorphic(t, copy)
+    for rows in ([[1, 0, 1, 1, 0], [0, 1, 0, 0, 1]], [[1, 0, 0, 0, 1], [0, 1, 1, 1, 0]]):
+        other = Trellis(GF3, 1, (1,), (2,), (Subspace.span(GF3, 5, rows),))
+        iso = is_isomorphic(t, other)
+        assert iso.isomorphic is oracles.isomorphic(t, other)
+        if iso.isomorphic:
+            assert_witness(t, other, iso)
+
+
+def test_isomorphism_without_states_is_constraint_equality():
+    t = Trellis(GF2, 2, (2, 1), (0, 0), (Subspace.span(GF2, 2, [[1, 1]]), Subspace.full(GF2, 1)))
+    same = Trellis(GF2, 2, (2, 1), (0, 0), t.constraints)
+    iso = is_isomorphic(t, same)
+    assert iso.witness == (Mat(GF2, 0, ()), Mat(GF2, 0, ()))
+    assert_witness(t, same, iso)
+    other = Trellis(GF2, 2, (2, 1), (0, 0), (Subspace.span(GF2, 2, [[1, 0]]), Subspace.full(GF2, 1)))
+    assert is_isomorphic(t, other).isomorphic is False
+    assert not oracles.isomorphic(t, other)
 
 
 # --- time reversal -----------------------------------------------------------
