@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .galois import Mat, Subspace, cross_section, orthogonal, project, rank
 from .trellis import Trellis, behavior, dualize, realized_code
-from .fragments import unobservable_state_space
+from .fragments import _local_relation, unobservable_state_space
 
 
 def _adjacent_onto_state(t: Trellis, i: int, op) -> tuple[Subspace, Subspace]:
@@ -130,18 +130,25 @@ class Connectivity:
 MAX_CONNECTED_ENUMERATED = 2**16
 
 
-def past_enumeration_cap(t: Trellis) -> bool:
-    """Whether t has more states plus branches than `connected` and `render` enumerate."""
-    dims, top = [*t.state_dims, *(c.dim for c in t.constraints)], MAX_CONNECTED_ENUMERATED.bit_length()
-    return sum(t.field.p ** min(d, top) for d in dims) > MAX_CONNECTED_ENUMERATED
+def past_enumeration_cap(p: int, dims) -> bool:
+    """Whether spaces of these dims over GF(p) have more than
+    MAX_CONNECTED_ENUMERATED members in all, each exponent clipped so the
+    sum stays small: `connected` counts states plus edges, `render` states
+    plus branches."""
+    top = MAX_CONNECTED_ENUMERATED.bit_length()
+    return sum(p ** min(d, top) for d in dims) > MAX_CONNECTED_ENUMERATED
 
 
 def connected(t: Trellis) -> Connectivity:
     """Connectivity of the trellis diagram on states incident to at least one
     branch; states incident to none are reported on the side instead of
-    breaking connectivity.  Past the enumeration cap it is undecided: None
-    for `connected` and `component_count`."""
-    if past_enumeration_cap(t):
+    breaking connectivity.  A branch joins its (state-in, state-out) pair, so
+    the edges are the members of the local transition relations T_i, not the
+    branches, which a symbol space can make many more.  Past the enumeration
+    cap on states plus edges it is undecided: None for `connected` and
+    `component_count`."""
+    edges = [_local_relation(t, i, "full") for i in range(t.m)]
+    if past_enumeration_cap(t.field.p, [*t.state_dims, *(e.dim for e in edges)]):
         return Connectivity(None, None, ())
     index: dict[tuple[int, tuple[int, ...]], int] = {}
     vertices: list[tuple[int, tuple[int, ...]]] = []
@@ -165,9 +172,9 @@ def connected(t: Trellis) -> Connectivity:
     used = set()
     for i in range(t.m):
         nxt = (i + 1) % t.m
-        for br in t.constraints[i].vectors():
-            s_in, _, s_out = t.split(i, br)
-            a, b = index[(i, s_in)], index[(nxt, s_out)]
+        d = t.state_dims[i]
+        for e in edges[i].vectors():
+            a, b = index[(i, e[:d])], index[(nxt, e[d:])]
             union(a, b)
             used.add(a)
             used.add(b)

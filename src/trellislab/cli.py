@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .trellis import Span, dualize
-from .analysis import FLAG_NAMES, property_report
+from .analysis import FLAG_NAMES, global_trim_flags, property_report
 from .fragments import (
     is_fragment_trim,
     is_jk_controllable,
@@ -165,8 +165,7 @@ def cmd_reduce(args) -> int:
             step = unobs_trim(t)
             steps, final = [step], step.result
         elif method == "branch-trim":
-            rep = property_report(t)
-            bad = [i for i, ok in enumerate(rep.branch_trim_at) if not ok]
+            bad = [i for i, ok in enumerate(global_trim_flags(t).branch_trim_at) if not ok]
             if not bad:
                 print("no applicable method: already branch-trim")
                 return 2

@@ -81,17 +81,6 @@ class Mat:
             return Mat(self.field, 0, tuple(() for _ in range(self.cols)))
         return Mat(self.field, self.rows, tuple(zip(*self.entries)))
 
-    def times(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        p = self.field.p
-        ot = list(zip(*other.entries)) if other.entries else [()] * other.cols
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) % p for col in ot)
-            for row in self.entries
-        )
-        return Mat(self.field, other.cols, out)
-
 
 def _rref_rows(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """In-place Gaussian elimination; returns (nonzero reduced rows, pivot cols)."""
@@ -269,30 +258,42 @@ def lattice(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
     return Subspace(field, n, Mat(field, n, total)), Subspace(field, n, Mat(field, n, inter))
 
 
-def complement(s: Subspace, within: Subspace) -> Subspace:
-    """A deterministic direct complement of s inside `within`.
+def _last_nonzero_rows(s: Subspace) -> dict[int, tuple[int, ...]]:
+    """s's basis eliminated once with its columns reversed, keyed by each
+    row's last nonzero column c: the row has a 1 at c and a 0 at every
+    other key, and every member of s is the combination of these rows with
+    its own entries at the keys as coefficients."""
+    n = s.ambient_dim
+    reduced = rref(Mat(s.field, n, tuple(row[::-1] for row in s.basis.entries)))
+    return {n - 1 - row.index(1): row[::-1] for row in reduced.entries}
 
-    Extends s's basis by the rows of `within`'s canonical basis in order,
-    keeping each row that is independent of what has been collected so far.
-    The span of the kept rows c satisfies c + s = within and c ∩ s = 0.
+
+def complement(s: Subspace) -> Subspace:
+    """A deterministic direct complement of s: the unit vectors e_c at every
+    column c that ends no member of s.
+
+    It is what extending s's basis by e_0, e_1, ... in order keeps, taking
+    each unit vector independent of what has been collected so far: e_c is
+    dependent exactly when some member of s has its last nonzero entry at c.
     """
-    if s.field != within.field or s.ambient_dim != within.ambient_dim:
-        raise ValueError("ambient mismatch")
-    if not within.contains_space(s):
-        raise ValueError("subspace is not contained in the enclosing space")
-    field = s.field
-    collected = list(s.basis.entries)
-    added: list[tuple[int, ...]] = []
-    current_rank = s.dim
-    for row in within.basis.entries:
-        trial = Mat.from_rows(field, s.ambient_dim, collected + [row])
-        if rank(trial) > current_rank:
-            collected.append(row)
-            added.append(row)
-            current_rank += 1
-        if current_rank == within.dim:
-            break
-    return Subspace.span(field, s.ambient_dim, added)
+    n, ends = s.ambient_dim, _last_nonzero_rows(s)
+    rows = tuple(tuple(int(k == c) for k in range(n)) for c in range(n) if c not in ends)
+    return Subspace(s.field, n, Mat(s.field, n, rows))
+
+
+def quotient_map(s: Subspace) -> Mat:
+    """The projection along s onto `complement(s)`, as the matrix q with
+    x -> x q in the complement's basis coordinates, so that x minus x q
+    (read back as a vector) lies in s.  A free coordinate goes to itself,
+    and a column c that ends a member of s goes to minus the free part of
+    the eliminated row that ends at c; no inverse is needed."""
+    p, ends = s.field.p, _last_nonzero_rows(s)
+    free = [c for c in range(s.ambient_dim) if c not in ends]
+    rows = tuple(
+        tuple((-ends[c][f]) % p for f in free) if c in ends else tuple(int(f == c) for f in free)
+        for c in range(s.ambient_dim)
+    )
+    return Mat(s.field, len(free), rows)
 
 
 def project(s: Subspace, cols: Sequence[int]) -> Subspace:
@@ -322,29 +323,6 @@ def negate_columns(s: Subspace, cols: Sequence[int]) -> Subspace:
         for row in s.basis.entries
     ]
     return Subspace.span(s.field, s.ambient_dim, rows)
-
-
-def direct_sum(a: Subspace, b: Subspace) -> Subspace:
-    """External direct sum on concatenated coordinates."""
-    if a.field != b.field:
-        raise ValueError("field mismatch")
-    n = a.ambient_dim + b.ambient_dim
-    rows = [list(r) + [0] * b.ambient_dim for r in a.basis.entries]
-    rows += [[0] * a.ambient_dim + list(r) for r in b.basis.entries]
-    return Subspace.span(a.field, n, rows)
-
-
-def invert(m: Mat) -> Mat:
-    """Inverse of a square matrix; raises if singular."""
-    if m.rows != m.cols:
-        raise ValueError("only square matrices have inverses")
-    n = m.rows
-    p = m.field.p
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m.entries)]
-    reduced, pivots = _rref_rows(aug, p)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return Mat.from_rows(m.field, n, [row[n:] for row in reduced])
 
 
 def solve_particular(m: Mat, rhs: Sequence[int]) -> tuple[int, ...] | None:

@@ -20,11 +20,11 @@ from .galois import (
     Subspace,
     complement,
     cross_section,
-    direct_sum,
-    invert,
+    kernel,
     lattice,
     orthogonal,
     project,
+    quotient_map,
     rref,
     solve_particular,
 )
@@ -62,22 +62,6 @@ from .fragments import (
 # primitive surgery
 
 
-def _restrict_block(c: Subspace, lo: int, hi: int, y: Subspace) -> Subspace:
-    """Members of c whose coordinates lo..hi-1 lie in y, with that block
-    re-expressed in y's basis coordinates (pivot read-off)."""
-    field_ = c.field
-    left = Subspace.full(field_, lo)
-    right = Subspace.full(field_, c.ambient_dim - hi)
-    window = direct_sum(direct_sum(left, y), right)
-    _, inter = lattice(c, window)
-    piv = y.pivots()
-    rows = [
-        list(row[:lo]) + [row[lo + q] for q in piv] + list(row[hi:])
-        for row in inter.basis.entries
-    ]
-    return Subspace.span(field_, lo + y.dim + (c.ambient_dim - hi), rows)
-
-
 def _rewrite_state(t: Trellis, i: int, y: Subspace, kind: str, new_dim: int, block) -> Trellis:
     """Replace S_i by a new_dim-dimensional space, rewriting its block in
     C_{i-1} and in C_i with `block(code, lo, hi)`.  The state-out block is
@@ -97,46 +81,46 @@ def _rewrite_state(t: Trellis, i: int, y: Subspace, kind: str, new_dim: int, blo
     return Trellis(t.field, t.m, t.symbol_dims, tuple(sdims), tuple(constraints))
 
 
+def _map_block(s: Subspace, lo: int, hi: int, m: Mat) -> Mat:
+    """s's basis rows with their coordinates lo..hi-1 mapped x -> x m."""
+    p = s.field.p
+    rows = []
+    for row in s.basis.entries:
+        block = row[lo:hi]
+        image = tuple(sum(block[k] * m.entries[k][j] for k in range(hi - lo)) % p for j in range(m.cols))
+        rows.append(row[:lo] + image + row[hi:])
+    return Mat(s.field, s.ambient_dim - (hi - lo) + m.cols, tuple(rows))
+
+
+def _restrict_block(c: Subspace, lo: int, hi: int, y: Subspace) -> Subspace:
+    """Members of c whose coordinates lo..hi-1 lie in y, with that block
+    re-expressed in y's basis coordinates: the kernel of c's parity checks
+    with their block pulled back through y's basis Y, h -> h Y^T."""
+    return kernel(_map_block(orthogonal(c), lo, hi, y.basis.transpose()))
+
+
 def trim_to(t: Trellis, i: int, y: Subspace) -> Trellis:
-    """Restrict the state space S_i to y and both adjacent constraint codes
-    accordingly; the new state space uses y's canonical basis coordinates.
-    The realized code is not necessarily preserved."""
+    """Restrict the state space S_i to y: both adjacent constraint codes pull
+    their parity checks back through y's basis (`_restrict_block`), so the
+    new state space uses y's canonical basis coordinates.  The realized code
+    is not necessarily preserved."""
     return _rewrite_state(
         t, i, y, "trim", y.dim, lambda c, lo, hi: _restrict_block(c, lo, hi, y)
     )
 
 
-def _quotient_map(y: Subspace) -> Mat:
-    """Matrix of the projection S -> W along y, where W is the deterministic
-    complement of y; output coordinates are W's basis coordinates."""
-    field_ = y.field
-    n = y.ambient_dim
-    w = complement(y, Subspace.full(field_, n))
-    basis = Mat.from_rows(field_, n, list(w.basis.entries) + list(y.basis.entries))
-    minv = invert(basis)
-    cols = list(range(w.dim))
-    rows = [[minv.entries[r][c] for c in cols] for r in range(n)]
-    return Mat.from_rows(field_, w.dim, rows)
-
-
-def _map_block(c: Subspace, lo: int, hi: int, m: Mat) -> Subspace:
-    field_ = c.field
-    rows = []
-    for row in c.basis.entries:
-        block = row[lo:hi]
-        image = [sum(block[k] * m.entries[k][j] for k in range(hi - lo)) % field_.p for j in range(m.cols)]
-        rows.append(list(row[:lo]) + image + list(row[hi:]))
-    return Subspace.span(field_, c.ambient_dim - (hi - lo) + m.cols, rows)
-
-
 def merge_to(t: Trellis, i: int, y: Subspace) -> Trellis:
-    """Replace S_i by the quotient modulo y, realized through a fixed linear
-    section (the deterministic complement of y).  The realized code is not
-    necessarily preserved."""
-    q = _quotient_map(y)
-    return _rewrite_state(
-        t, i, y, "merge", q.cols, lambda c, lo, hi: _map_block(c, lo, hi, q)
-    )
+    """Replace S_i by the quotient modulo y: both adjacent constraint codes
+    push their basis rows forward through `galois.quotient_map(y)`, the
+    projection along y onto its deterministic complement.  The realized code
+    is not necessarily preserved."""
+    q = quotient_map(y)
+
+    def push_forward(c: Subspace, lo: int, hi: int) -> Subspace:
+        image = rref(_map_block(c, lo, hi, q))
+        return Subspace(c.field, image.cols, image)
+
+    return _rewrite_state(t, i, y, "merge", q.cols, push_forward)
 
 
 def _same_code(before: Trellis, after: Trellis, interval: Span) -> bool:
@@ -349,7 +333,7 @@ def _unobservable_line(t: Trellis, choose_index: int | None = None):
             raise ValueError(f"no unobservable trajectory is nonzero at time {idx}")
     sigma = [witness[c] for c in cols[idx]]
     line = Subspace.span(t.field, t.state_dims[idx], [sigma])
-    return idx, witness, sigma, complement(line, Subspace.full(t.field, t.state_dims[idx]))
+    return idx, witness, sigma, complement(line)
 
 
 def unobs_trim(t: Trellis, choose_index: int | None = None) -> ReductionStep:
@@ -612,7 +596,7 @@ def _zero_run_a(
         raise RuntimeError("adjoined state is reachable from zero; witness unusable")
     line = Subspace.span(t.field, dlast, [tilde])
     span_sum, _ = lattice(reach_zero, line)
-    z = complement(span_sum, Subspace.full(t.field, dlast))
+    z = complement(span_sum)
     x, _ = lattice(reach_zero, z)
     coeffs = solve_particular(
         Mat.from_rows(t.field, dk, [row[:dk] for row in trans.basis.entries]).transpose(),

@@ -2,8 +2,9 @@
 
 States appear as per-time columns (time 0 duplicated at both ends), dashed
 edges carry the zero symbol, solid edges a nonzero one.  Output is fully
-deterministic: states in lexicographic order, edges sorted.  A trellis past
-`analysis.past_enumeration_cap` is refused with ValueError.
+deterministic: states in lexicographic order, edges sorted.  A trellis with
+more states plus branches than `analysis.past_enumeration_cap` allows is
+refused with ValueError.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def _node(col: int, vec, p: int) -> str:
 
 
 def to_dot(t: Trellis) -> str:
-    if past_enumeration_cap(t):
+    if past_enumeration_cap(t.field.p, [*t.state_dims, *(c.dim for c in t.constraints)]):
         raise ValueError(f"more than {MAX_CONNECTED_ENUMERATED} states plus branches to draw")
     lines = ["digraph trellis {", "  rankdir=LR;", '  node [shape=circle, fontsize=10];']
     cols = t.m + 1

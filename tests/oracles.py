@@ -3,10 +3,11 @@
 Everything here avoids the library's elimination/kernel/solve routines:
 membership and spans are computed by explicit enumeration, behaviors by
 walking branches, isomorphism by trying every tuple of invertible state maps.
-Kept deliberately dumb.  The one exception is
-`kernel_fragment`, the reference for fragment behaviors too large to walk: it
+Kept deliberately dumb.  Two exceptions use the library's elimination:
+`kernel_fragment`, the reference for fragment behaviors too large to walk,
 takes `galois.kernel` of the fragment's scattered parity checks, not the
-`compose` chains behind `fragments.fragment`.
+`compose` chains behind `fragments.fragment`; `greedy_complement_columns`
+is the rank loop that defines `galois.complement`, not its read-off.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product as iter_product
 
-from trellislab.galois import Mat, Subspace, kernel, project
+from trellislab.galois import Mat, Subspace, kernel, project, rank
 from trellislab.trellis import _scatter_checks
 
 
@@ -216,3 +217,68 @@ def isomorphic(a, b) -> bool:
         else:
             return True
     return False
+
+
+def greedy_complement_columns(s) -> list[int]:
+    """The columns c whose unit vectors e_c a greedy pass keeps when it
+    extends s's basis by e_0, e_1, ... in order, taking each that raises
+    the rank of what it has collected."""
+    n = s.ambient_dim
+    collected, kept = list(s.basis.entries), []
+    for c in range(n):
+        unit = tuple(int(k == c) for k in range(n))
+        if rank(Mat(s.field, n, tuple(collected + [unit]))) > len(collected):
+            collected.append(unit)
+            kept.append(c)
+    return kept
+
+
+def is_projection_along(s, free, q) -> bool:
+    """Whether the matrix q (rows over GF(p)^n, columns the free columns)
+    projects along s onto the unit vectors at the free columns: for every x,
+    x minus x q placed back at the free columns is a member of s, and every x
+    supported on the free columns is its own image.  Tries every x."""
+    p, n = s.field.p, s.ambient_dim
+    members = subspace_set(s)
+    for x in all_vectors(p, n):
+        image = [0] * n
+        for col, f in enumerate(free):
+            image[f] = sum(x[r] * q.entries[r][col] for r in range(n)) % p
+        if tuple((a - b) % p for a, b in zip(x, image)) not in members:
+            return False
+        if not any(x[c] for c in range(n) if c not in free) and tuple(image) != x:
+            return False
+    return True
+
+
+def restricted_block(c, lo: int, hi: int, y) -> set[tuple[int, ...]]:
+    """Members of c whose coordinates lo..hi-1 lie in y, that block replaced
+    by its coordinates z in y's basis: the z with z Y equal to it, found by
+    trying every z."""
+    p, rows = c.field.p, y.basis.entries
+    coords = {}
+    for z in all_vectors(p, y.dim):
+        coords[tuple(sum(z[r] * rows[r][k] for r in range(y.dim)) % p for k in range(hi - lo))] = z
+    return {v[:lo] + coords[v[lo:hi]] + v[hi:] for v in subspace_set(c) if v[lo:hi] in coords}
+
+
+def connectivity(t) -> tuple[bool, int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """(connected, component count, isolated states) of the trellis diagram,
+    by joining the two ends of every enumerated branch; states on no branch
+    are listed apart, in time then lexicographic order."""
+    p, m, sdims = t.field.p, t.m, t.state_dims
+    root = {(i, v): (i, v) for i in range(m) for v in all_vectors(p, sdims[i])}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    used = set()
+    for i in range(m):
+        for b in branch_set(t, i):
+            a, z = (i, b[:sdims[i]]), ((i + 1) % m, b[len(b) - sdims[(i + 1) % m]:])
+            root[find(a)] = find(z)
+            used |= {a, z}
+    components = len({find(x) for x in used})
+    return components <= 1, components, tuple(x for x in root if x not in used)

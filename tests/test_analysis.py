@@ -165,6 +165,27 @@ def test_connected_is_undecided_past_the_enumeration_cap(tmp_path, capsys):
     assert time.perf_counter() - start < 10
 
 
+def test_connected_counts_edges_not_branches(tmp_path, capsys):
+    # one state at the single time and 2^31 - 1 branches, all on one edge:
+    # decided, while `render`, which draws branches, still refuses it
+    text = "field 2147483647\nlength 1\nsymbol-dims 1\nstate-dims 0\n\nconstraint 0\n|5|\n"
+    path = tmp_path / "large-field.trellis"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main(["analyze", str(path)]) == 0
+    assert time.perf_counter() - start < 2
+    assert re.search(r"^connected       True$", capsys.readouterr().out, re.M)
+    with pytest.raises(ValueError):
+        render.to_dot(parse(text))
+
+
+def test_connected_matches_branch_enumeration(figures, random_set):
+    for t in [*figures.values(), *random_set]:
+        for side in (t, dualize(t)):
+            got = connected(side)
+            assert (got.connected, got.component_count, got.isolated_states) == oracles.connectivity(side)
+
+
 def test_render_refuses_past_the_enumeration_cap(tmp_path):
     t = wide_trellis()
     start = time.perf_counter()

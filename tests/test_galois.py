@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trellislab.galois import (
     GF2,
@@ -10,11 +11,11 @@ from trellislab.galois import (
     Subspace,
     complement,
     cross_section,
-    invert,
     kernel,
     lattice,
     orthogonal,
     project,
+    quotient_map,
     rref,
     solve_particular,
 )
@@ -148,13 +149,10 @@ def test_lattice_rejects_ambient_mismatch():
 
 
 def test_complement_examples():
-    assert complement(Subspace.zero(GF2, 2), Subspace.full(GF2, 2)).is_full()
+    assert complement(Subspace.zero(GF2, 2)).is_full()
     # the first standard unit vector is independent of (1,1) and is taken
-    assert complement(
-        Subspace.span(GF2, 2, [[1, 1]]), Subspace.full(GF2, 2)
-    ) == Subspace.span(GF2, 2, [[1, 0]])
-    full = Subspace.full(GF2, 3)
-    assert complement(full, full).is_zero()
+    assert complement(Subspace.span(GF2, 2, [[1, 1]])) == Subspace.span(GF2, 2, [[1, 0]])
+    assert complement(Subspace.full(GF2, 3)).is_zero()
 
 
 def test_complement_properties():
@@ -163,18 +161,46 @@ def test_complement_properties():
         p = rng.choice((2, 3, 5))
         field = FieldSpec(p)
         n = rng.randint(0, 6)
-        w = Subspace.span(field, n, [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(0, n))])
-        picks = [row for row in w.basis.entries if rng.random() < 0.6]
-        s = Subspace.span(field, n, picks)
-        c = complement(s, w)
+        s = Subspace.span(field, n, [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(0, n))])
+        c = complement(s)
         total, inter = lattice(c, s)
         assert inter.is_zero()
-        assert total == w
+        assert total.is_full()
+        assert all(sorted(row) == [0] * (n - 1) + [1] for row in c.basis.entries)
 
 
 def test_complement_requires_containment():
-    with pytest.raises(ValueError):
-        complement(Subspace.span(GF2, 2, [[1, 0]]), Subspace.span(GF2, 2, [[0, 1]]))
+    # the enclosing space is always the whole ambient space, which contains
+    # every subspace; a narrower one can no longer be passed
+    s = Subspace.span(GF2, 2, [[1, 0]])
+    with pytest.raises(TypeError):
+        complement(s, Subspace.span(GF2, 2, [[0, 1]]))
+    assert complement(s) == Subspace.span(GF2, 2, [[0, 1]])
+
+
+@st.composite
+def small_subspaces(draw, bound: int = 729) -> Subspace:
+    """A span of drawn rows in GF(p)^n with p^n <= bound."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(0, max(k for k in range(7) if p**k <= bound)))
+    row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    return Subspace.span(FieldSpec(p), n, draw(st.lists(row, max_size=n)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_subspaces(bound=7**6))
+def test_complement_matches_the_greedy_rank_loop(s):
+    kept = oracles.greedy_complement_columns(s)
+    n = s.ambient_dim
+    assert complement(s) == Subspace.span(s.field, n, [[int(k == c) for k in range(n)] for c in kept])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_subspaces())
+def test_quotient_map_matches_brute_force(s):
+    q = quotient_map(s)
+    assert (q.rows, q.cols) == (s.ambient_dim, s.ambient_dim - s.dim)
+    assert oracles.is_projection_along(s, oracles.greedy_complement_columns(s), q)
 
 
 def test_projection_and_cross_section():
@@ -249,12 +275,7 @@ def test_canonical_check_matches_rref_definition():
     assert min(seen.values()) > 1000
 
 
-def test_invert_and_solve():
-    m = Mat.from_rows(GF3, 2, [[1, 1], [0, 2]])
-    inv = invert(m)
-    assert m.times(inv) == Mat.identity(GF3, 2)
-    with pytest.raises(ValueError):
-        invert(Mat.from_rows(GF2, 2, [[1, 1], [1, 1]]))
+def test_solve_particular():
     x = solve_particular(Mat.from_rows(GF2, 2, [[1, 1], [0, 1]]), [1, 1])
     assert x == (0, 1)
     assert solve_particular(Mat.from_rows(GF2, 2, [[1, 1], [1, 1]]), [1, 0]) is None

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from trellislab.galois import GF2, GF3, Subspace, orthogonal
+from trellislab.galois import GF2, GF3, FieldSpec, Subspace, orthogonal
 from trellislab.trellis import (
     IsoResult,
     Span,
@@ -78,6 +78,27 @@ def test_trim_merge_duality_random(random_set, rng):
         if checked >= 60:
             break
     assert checked >= 60
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_restrict_block_matches_brute_force(data):
+    """The kernel of c's pulled-back parity checks is the set of c's members
+    whose block lies in y, that block in y's basis coordinates."""
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    field, n = FieldSpec(p), data.draw(st.integers(0, 6))
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+
+    def rows(width, most):
+        row = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
+        return data.draw(st.lists(row, max_size=min(width, most)))
+
+    c = Subspace.span(field, n, rows(n, max(k for k in range(7) if p**k <= 2401)))
+    y = Subspace.span(field, hi - lo, rows(hi - lo, 6))
+    got = reduction._restrict_block(c, lo, hi, y)
+    assert got.ambient_dim == n - (hi - lo) + y.dim
+    assert oracles.subspace_set(got) == oracles.restricted_block(c, lo, hi, y)
 
 
 def test_trim_preserves_code_only_for_safe_subspaces(figures):
