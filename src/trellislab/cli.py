@@ -19,7 +19,7 @@ from .fragments import (
     is_jk_controllable,
     is_jk_observable,
     t_observability_profile,
-    transition_spaces,
+    transition_relation,
 )
 from .reduction import (
     branch_trim_step,
@@ -81,12 +81,11 @@ def cmd_analyze(args) -> int:
     data = _report_dict(t, rep)
     if args.fragment:
         iv = _parse_interval(args.fragment, t.m)
-        trans = transition_spaces(t, iv)
         data["fragment"] = {
             "start": iv.start,
             "len": iv.length,
-            "transition_dim": trans.full.dim,
-            "unobservable_dim": trans.unobservable.dim,
+            "transition_dim": transition_relation(t, iv, "full").dim,
+            "unobservable_dim": transition_relation(t, iv, "unobservable").dim,
             "observable": is_jk_observable(t, iv),
             "controllable": is_jk_controllable(t, iv),
             "trim": is_fragment_trim(t, iv),

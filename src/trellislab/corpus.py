@@ -24,7 +24,6 @@ from .trellis import (
     Span,
     Trellis,
     dualize,
-    elementary,
     is_isomorphic,
     product,
     realized_code,
@@ -54,8 +53,7 @@ def _gen(word: str, start: int, length: int, m: int) -> Generator:
 
 
 def _prod(m: int, gens) -> Trellis:
-    dims = tuple([1] * m)
-    return product([elementary(GF2, g, dims) for g in gens])
+    return product(GF2, gens, tuple([1] * m))
 
 
 @dataclass

@@ -46,17 +46,6 @@ from .galois import (
 from .trellis import Span, Trellis, behavior, dualize
 
 
-@dataclass(frozen=True)
-class TransitionSpaces:
-    """The transition space T (boundary pairs (s_j, s_k) joined by a path)
-    and the unobservable space U (those joined by a zero-symbol path) of an
-    interval; U is contained in T and equals T when the interval carries no
-    symbol coordinates."""
-
-    full: Subspace
-    unobservable: Subspace
-
-
 def _diagonal(t: Trellis, j: int) -> Subspace:
     """The equality relation {(s, s)} on S_j."""
     d = t.state_dims[j]
@@ -140,11 +129,6 @@ def fragment(t: Trellis, iv: Span) -> Subspace:
     """The external behavior of the cut-open fragment over the interval: the
     (s_j | a_j ... a_{k-1} | s_k) boundary of every valid path across it."""
     return transition_relation(t, iv, "external")
-
-
-def transition_spaces(t: Trellis, iv: Span) -> TransitionSpaces:
-    """T and U of the interval."""
-    return TransitionSpaces(*(transition_relation(t, iv, part) for part in ("full", "unobservable")))
 
 
 def unobservable_state_space(t: Trellis) -> Subspace:

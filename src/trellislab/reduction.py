@@ -10,7 +10,6 @@ step rewrote, and the realized codes only when that does not decide it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations, product as iter_product
 from math import comb
@@ -35,7 +34,6 @@ from .trellis import (
     _dual_constraint,
     behavior,
     dualize,
-    elementary,
     is_isomorphic,
     product,
     realized_code,
@@ -175,38 +173,45 @@ def branch_expand(t: Trellis, i: int, new_branches: Subspace) -> Trellis:
 # reduction steps
 
 
-_AUDIT: list["ReductionStep"] | None = None
-
-
-@contextmanager
-def audit_steps():
-    """Collect every ReductionStep constructed inside the context."""
-    global _AUDIT
-    previous = _AUDIT
-    _AUDIT = [] if previous is None else previous
-    try:
-        yield _AUDIT
-    finally:
-        _AUDIT = previous
-
-
 @dataclass(frozen=True)
 class ReductionStep:
-    """One applied, code-preserving transformation with replay parameters."""
+    """One applied, code-preserving transformation with replay parameters;
+    its dimension profiles and flags are read off its input and result."""
 
     kind: str
     params: dict
     interval: tuple[int, int]
     witness: dict | None
-    before_state_dims: tuple[int, ...]
-    after_state_dims: tuple[int, ...]
-    before_constraint_dims: tuple[int, ...]
-    after_constraint_dims: tuple[int, ...]
-    strict: bool
-    conservative: bool
     input: Trellis = field(repr=False)
     result: Trellis = field(repr=False)
     details: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def before_state_dims(self) -> tuple[int, ...]:
+        return self.input.state_dims
+
+    @property
+    def after_state_dims(self) -> tuple[int, ...]:
+        return self.result.state_dims
+
+    @property
+    def before_constraint_dims(self) -> tuple[int, ...]:
+        return self.input.constraint_dims()
+
+    @property
+    def after_constraint_dims(self) -> tuple[int, ...]:
+        return self.result.constraint_dims()
+
+    @property
+    def strict(self) -> bool:
+        """No state space grew and one shrank."""
+        pairs = list(zip(self.after_state_dims, self.before_state_dims))
+        return all(a <= b for a, b in pairs) and any(a < b for a, b in pairs)
+
+    @property
+    def conservative(self) -> bool:
+        """No constraint code grew."""
+        return all(a <= b for a, b in zip(self.after_constraint_dims, self.before_constraint_dims))
 
     def record(self) -> dict:
         rec = {
@@ -236,28 +241,15 @@ def _make_step(
 ) -> ReductionStep:
     if not _same_code(before, after, interval):
         raise RuntimeError(f"{kind} step failed to preserve the realized code")
-    smaller = all(a <= b for a, b in zip(after.state_dims, before.state_dims))
-    shrank = any(a < b for a, b in zip(after.state_dims, before.state_dims))
-    step = ReductionStep(
+    return ReductionStep(
         kind=kind,
         params=params,
         interval=(interval.start, interval.length),
         witness=witness,
-        before_state_dims=before.state_dims,
-        after_state_dims=after.state_dims,
-        before_constraint_dims=before.constraint_dims(),
-        after_constraint_dims=after.constraint_dims(),
-        strict=smaller and shrank,
-        conservative=all(
-            a <= b for a, b in zip(after.constraint_dims(), before.constraint_dims())
-        ),
         input=before,
         result=after,
         details=details or {},
     )
-    if _AUDIT is not None:
-        _AUDIT.append(step)
-    return step
 
 
 def _restated(
@@ -727,8 +719,7 @@ def kv_trellis(code: Subspace, start_assignment) -> Trellis:
     mat = Mat.from_rows(code.field, m, [g.word for g in gens])
     if rref(mat).rows != code.dim:
         raise ValueError("greedy shortest-span generators are dependent")
-    dims = tuple([1] * m)
-    return product([elementary(code.field, g, dims) for g in gens])
+    return product(code.field, gens, tuple([1] * m))
 
 
 def is_kv_trellis(t: Trellis) -> bool | None:
@@ -778,12 +769,7 @@ def is_kv_trellis(t: Trellis) -> bool | None:
             mat = Mat.from_rows(code.field, m, combo)
             if rref(mat).rows != kdim:
                 continue
-            cand = product(
-                [
-                    elementary(code.field, Generator(w, sp), t.symbol_dims)
-                    for w, sp in zip(combo, spans)
-                ]
-            )
+            cand = product(code.field, [Generator(w, sp) for w, sp in zip(combo, spans)], t.symbol_dims)
             iso = is_isomorphic(t, cand)
             if iso.isomorphic is True:
                 return True
@@ -833,8 +819,7 @@ def conventional_trellis(code: Subspace, cut: int) -> Trellis:
     """Minimal conventional trellis with the cycle cut open at `cut` (the
     state space there is trivial), built as a product of span generators."""
     gens = minimal_span_generators(code, cut)
-    dims = tuple([1] * code.ambient_dim)
-    return product([elementary(code.field, g, dims) for g in gens])
+    return product(code.field, gens, tuple([1] * code.ambient_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -888,29 +873,26 @@ def t_irreducibility(t: Trellis, tparam: int) -> IrreducibilityDecision:
             (),
             "interval observability fails but the span window is exceeded; no verdict",
         )
+    # Reduce by r = t - 1 if length m - t + 1 fails too, else by r = t, on
+    # the side whose intervals of length m - r are not all observable: a
+    # 2-reduction for r = 1, else a zero-run reduction, keeping only its
+    # strict step when r = t - 1.
     finer = m - tparam + 1
-    if tparam > 1 and not (memory.observable[finer] and memory.controllable[finer]):
-        work, label = (t, "primal") if not memory.observable[finer] else (dualize(t), "dual")
-        if tparam == 2:
-            steps = two_reduction_m1(work).primal_steps
-        else:
-            j = _first_unobservable_start(work, finer)
-            _, strict = zero_run_reduce(work, j, tparam - 1)
-            steps = (strict,)
-        note = f"strict conservative {tparam}-reduction on the {label} side"
+    finer_fails = tparam > 1 and not (memory.observable[finer] and memory.controllable[finer])
+    r = tparam - 1 if finer_fails else tparam
+    work, label = (t, "primal") if not memory.observable[m - r] else (dualize(t), "dual")
+    if r == 1:
+        steps = two_reduction_m1(work).primal_steps
     else:
-        work, label = (t, "primal") if not obs else (dualize(t), "dual")
-        if tparam == 1:
-            steps = two_reduction_m1(work).primal_steps
-            note = f"strict and conservative 2-reduction constructed on the {label} side"
-        else:
-            j = _first_unobservable_start(work, m - tparam)
-            cons, strict = zero_run_reduce(work, j, tparam)
-            steps = (cons, strict)
-            note = (
-                f"non-strict conservative {tparam}-reduction and strict "
-                f"({tparam + 1})-reduction on the {label} side"
-            )
+        cons, strict = zero_run_reduce(work, _first_unobservable_start(work, m - r), r)
+        steps = (strict,) if r < tparam else (cons, strict)
+    if r < tparam:
+        note = f"strict conservative {tparam}-reduction"
+    elif r == 1:
+        note = "strict and conservative 2-reduction constructed"
+    else:
+        note = f"non-strict conservative {tparam}-reduction and strict ({tparam + 1})-reduction"
+    note += f" on the {label} side"
     return IrreducibilityDecision(
         tparam, "reducible", chi, chi_dual, certificate, steps, note
     )

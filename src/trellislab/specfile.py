@@ -3,8 +3,9 @@
 Explicit form lists the canonical basis of every constraint code as rows of
 digit blocks separated by `|` (state-in | symbol | state-out), e.g. 10|1|10.
 Product form lists generator words with circular spans (`word @ start+len`)
-instead.  The two forms may not be mixed in one file.  Serialization always
-emits the explicit form and round-trips bit-exactly.
+instead, built by `trellis.product` in one pass; its errors become
+SpecFileErrors.  The two forms may not be mixed in one file.  Serialization
+always emits the explicit form and round-trips bit-exactly.
 
 Fields with p <= 7 use contiguous digits inside a block; larger primes use
 comma-separated entries.
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .galois import FieldSpec, Subspace
-from .trellis import Generator, Span, Trellis, elementary, product
+from .trellis import Generator, Span, Trellis, product
 
 
 class SpecFileError(ValueError):
@@ -239,7 +240,6 @@ def _parse_generators(parser, field_, m, adims) -> Trellis:
     if not gens:
         raise SpecFileError("generators section is empty")
     try:
-        parts = [elementary(field_, g, tuple(adims)) for g in gens]
-        return product(parts)
+        return product(field_, gens, tuple(adims))
     except ValueError as exc:
         raise SpecFileError(str(exc))

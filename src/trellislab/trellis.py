@@ -1,4 +1,5 @@
-"""Tail-biting trellis data model: constructors, behavior, duality, isomorphism.
+"""Tail-biting trellis data model: the product constructor, behavior,
+duality, isomorphism.
 
 A trellis of length m has symbol spaces A_i, state spaces S_i, and constraint
 codes C_i inside S_i x A_i x S_{i+1}, all indexed mod m.  Constraint-code
@@ -164,75 +165,50 @@ def validate(t: Trellis) -> list[str]:
     return problems
 
 
-def elementary(field: FieldSpec, g: Generator, symbol_dims: tuple[int, ...]) -> Trellis:
-    """One-dimensional trellis carrying a single codeword on its span.
+def product(field: FieldSpec, generators: list[Generator], symbol_dims: tuple[int, ...]) -> Trellis:
+    """The product of the elementary trellises of the generators: each
+    generator's word is one path that leaves the zero state at its span
+    start and returns to it at the span end, through a state coordinate of
+    its own at every interior time of the span.  So S_i has one coordinate
+    per generator whose span has i in its interior, in generator order, and
+    C_i is spanned by the branch (state-in | word block | state-out) of every
+    generator whose span covers i.  An elementary trellis is the product of
+    one generator."""
+    if not generators:
+        raise ValueError("product of no generators")
+    m = len(symbol_dims)
+    offsets = [sum(symbol_dims[:i]) for i in range(m + 1)]
+    for g in generators:
+        if g.span.m != m:
+            raise ValueError("symbol dims must have length m")
+        if g.span.length == 0:
+            raise ValueError("generator span must be nonempty")
+        if len(g.word) != offsets[m]:
+            raise ValueError("word length does not match symbol dims")
+        if not any(g.word):
+            raise ValueError("generator word must be nonzero")
+        for i in range(m):
+            if any(g.word[offsets[i]:offsets[i + 1]]) and not g.span.covers(i):
+                raise ValueError(f"word has support at time {i} outside its span")
+    coords: list[dict[int, int]] = [{} for _ in range(m)]
+    for n, g in enumerate(generators):
+        for i in g.span.interior():
+            coords[i][n] = len(coords[i])
+    sdims = tuple(len(c) for c in coords)
 
-    States are one-dimensional exactly at the interior times of the span;
-    the path leaves the zero state on the branch at the span start and
-    returns to zero at the span end.
-    """
-    span = g.span
-    m = span.m
-    if len(symbol_dims) != m:
-        raise ValueError("symbol dims must have length m")
-    if span.length == 0:
-        raise ValueError("generator span must be nonempty")
-    total = sum(symbol_dims)
-    if len(g.word) != total:
-        raise ValueError("word length does not match symbol dims")
-    if not any(g.word):
-        raise ValueError("generator word must be nonzero")
-    offsets = [sum(symbol_dims[:i]) for i in range(m)]
-    for i in range(m):
-        block = g.word[offsets[i]:offsets[i] + symbol_dims[i]]
-        if any(block) and not span.covers(i):
-            raise ValueError(f"word has support at time {i} outside its span")
-    interior = set(span.interior())
-    state_dims = tuple(1 if i in interior else 0 for i in range(m))
-    constraints = []
-    for i in range(m):
-        amb = state_dims[i] + symbol_dims[i] + state_dims[(i + 1) % m]
-        if not span.covers(i):
-            constraints.append(Subspace.zero(field, amb))
-            continue
-        row = []
-        if state_dims[i]:
-            row.append(1)
-        row.extend(g.word[offsets[i]:offsets[i] + symbol_dims[i]])
-        if state_dims[(i + 1) % m]:
-            row.append(1)
-        constraints.append(Subspace.span(field, amb, [row]))
-    return Trellis(field, m, tuple(symbol_dims), state_dims, tuple(constraints))
+    def state(i: int, n: int) -> tuple[int, ...]:
+        return tuple(int(coords[i].get(n) == c) for c in range(sdims[i]))
 
-
-def product(trellises: list[Trellis] | tuple[Trellis, ...]) -> Trellis:
-    """Product trellis: state spaces direct-sum, symbols add."""
-    if not trellises:
-        raise ValueError("product of no trellises")
-    first = trellises[0]
-    for t in trellises[1:]:
-        if t.m != first.m or t.field != first.field or t.symbol_dims != first.symbol_dims:
-            raise ValueError("product requires equal length, field, and symbol dims")
-    m = first.m
-    field_ = first.field
-    adims = first.symbol_dims
-    sdims = tuple(sum(t.state_dims[i] for t in trellises) for i in range(m))
     constraints = []
     for i in range(m):
         nxt = (i + 1) % m
-        rows = []
-        before_in = before_out = 0
-        for t in trellises:
-            after_in = sdims[i] - before_in - t.state_dims[i]
-            after_out = sdims[nxt] - before_out - t.state_dims[nxt]
-            for b in t.constraints[i].basis.entries:
-                s_in, a, s_out = t.split(i, b)
-                rows.append((0,) * before_in + s_in + (0,) * after_in + a
-                            + (0,) * before_out + s_out + (0,) * after_out)
-            before_in += t.state_dims[i]
-            before_out += t.state_dims[nxt]
-        constraints.append(Subspace.span(field_, sdims[i] + adims[i] + sdims[nxt], rows))
-    return Trellis(field_, m, adims, sdims, tuple(constraints))
+        rows = [
+            state(i, n) + tuple(g.word[offsets[i]:offsets[i + 1]]) + state(nxt, n)
+            for n, g in enumerate(generators)
+            if g.span.covers(i)
+        ]
+        constraints.append(Subspace.span(field, sdims[i] + symbol_dims[i] + sdims[nxt], rows))
+    return Trellis(field, m, tuple(symbol_dims), sdims, tuple(constraints))
 
 
 def _scatter_checks(t: Trellis, i: int, n: int, offsets: tuple[int, int, int]) -> list[list[int]]:

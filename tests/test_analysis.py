@@ -294,8 +294,8 @@ def test_classify_chain_profiles_each_code_once(figures, monkeypatch):
 
 def test_classify_chain_requires_full_support():
     # a code with an always-zero coordinate
-    from trellislab.trellis import Generator, elementary
+    from trellislab.trellis import Generator, product
 
-    t = elementary(GF2, Generator((1, 1, 0), Span(0, 2, 3)), (1, 1, 1))
+    t = product(GF2, [Generator((1, 1, 0), Span(0, 2, 3))], (1, 1, 1))
     with pytest.raises(ValueError):
         classify_chain(t, 2)

@@ -15,7 +15,7 @@ from trellislab.fragments import (
     is_jk_controllable,
     is_jk_observable,
     t_observability_profile,
-    transition_spaces,
+    transition_relation,
     unobservable_state_space,
 )
 from trellislab.reduction import conventional_trellis, span_profile
@@ -27,8 +27,9 @@ from conftest import trellises
 def test_edge_fragment_is_equality_constraint(figures):
     t = figures["fig1a"]
     assert fragment(t, Span(2, 0, 3)) == Subspace.span(GF2, 4, [[1, 0, 1, 0], [0, 1, 0, 1]])
-    trans = transition_spaces(t, Span(2, 0, 3))
-    assert trans.full == trans.unobservable  # no symbols in the fragment
+    edge = Span(2, 0, 3)
+    # no symbols in the fragment
+    assert transition_relation(t, edge, "full") == transition_relation(t, edge, "unobservable")
 
 
 def test_single_constraint_fragment(figures):
@@ -90,7 +91,6 @@ def test_transition_spaces_match_path_enumeration(figures, random_set):
             for j in range(tr.m):
                 for length in range(tr.m + 1):
                     iv = Span(j, length, tr.m)
-                    trans = transition_spaces(tr, iv)
                     last = sum(tr.state_dims[(j + u) % tr.m] for u in range(length))
                     full, unobs, external = set(), set(), set()
                     for syms, states in oracles.enumerate_fragment_paths(tr, j, length):
@@ -99,8 +99,8 @@ def test_transition_spaces_match_path_enumeration(figures, random_set):
                         if not any(syms):
                             unobs.add(pair)
                         external.add(states[: tr.state_dims[j]] + syms + states[last:])
-                    assert oracles.subspace_set(trans.full) == full
-                    assert oracles.subspace_set(trans.unobservable) == unobs
+                    assert oracles.subspace_set(transition_relation(tr, iv, "full")) == full
+                    assert oracles.subspace_set(transition_relation(tr, iv, "unobservable")) == unobs
                     assert oracles.subspace_set(fragment(tr, iv)) == external
                     checked += 1
     assert checked > 1000
@@ -132,8 +132,7 @@ def test_transition_spaces_nesting(figures, random_set):
     for t in list(figures.values()) + random_set[:40]:
         for length in range(t.m + 1):
             iv = Span(0, length, t.m)
-            trans = transition_spaces(t, iv)
-            total, inter = trans.full, trans.unobservable
+            total, inter = (transition_relation(t, iv, part) for part in ("full", "unobservable"))
             assert total.contains_space(inter)
             if not any(t.symbol_dims[i] for i in iv.times()):
                 assert total == inter
@@ -141,10 +140,10 @@ def test_transition_spaces_nesting(figures, random_set):
 
 def test_unobservable_fragment_of_bcjr_example(figures):
     fig3a = figures["fig3a"]
-    u = transition_spaces(fig3a, Span(0, 3, 5)).unobservable
+    u = transition_relation(fig3a, Span(0, 3, 5), "unobservable")
     assert u.dim == 1
     # the all-zero run extends across one more constraint
-    u4 = transition_spaces(fig3a, Span(0, 4, 5)).unobservable
+    u4 = transition_relation(fig3a, Span(0, 4, 5), "unobservable")
     assert u4.dim == 1
 
 

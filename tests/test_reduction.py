@@ -7,12 +7,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from trellislab.galois import GF2, GF3, FieldSpec, Subspace, orthogonal
 from trellislab.trellis import (
+    Generator,
     IsoResult,
     Span,
     Trellis,
     behavior,
     dualize,
     is_isomorphic,
+    product,
     realized_code,
 )
 from trellislab import reduction
@@ -22,7 +24,6 @@ from trellislab.specfile import parse, serialize
 from trellislab.fragments import t_observability_profile
 from trellislab.reduction import (
     apply_step,
-    audit_steps,
     branch_expand,
     branch_trim,
     condition_A,
@@ -556,6 +557,80 @@ def test_t_irreducibility_outside_window(figures):
     assert dec.verdict == "sufficient-only"
 
 
+# Products (field, length, (word, start, span length) per generator) whose
+# decisions, with their duals', reach every construction: a 2-reduction or
+# a zero-run reduction, by t or by t - 1, on either side.
+T_IRREDUCIBILITY_PRODUCTS = {
+    "gf2-m6": (2, 6, [((1, 0, 0, 1, 0, 0), 3, 4), ((0, 0, 1, 1, 1, 1), 4, 6), ((0, 1, 1, 1, 0, 1), 2, 6)]),
+    "gf3-m9": (3, 9, [((1, 0, 0, 0, 0, 1, 0, 2, 2), 5, 5), ((2, 0, 2, 2, 0, 1, 2, 0, 2), 8, 8),
+                      ((2, 1, 0, 2, 1, 2, 2, 0, 0), 3, 8), ((0, 2, 1, 0, 0, 0, 1, 2, 0), 6, 6)]),
+    "gf3-m8": (3, 8, [((1, 2, 0, 1, 0, 1, 0, 0), 0, 6), ((0, 2, 1, 0, 0, 0, 1, 1), 1, 7),
+                      ((1, 2, 0, 0, 0, 1, 0, 2), 5, 5), ((1, 0, 1, 0, 2, 0, 1, 2), 6, 7)]),
+}
+
+# sha256 of json.dumps(_decisions(t), sort_keys=True) for each TPOC corpus
+# entry whose code and dual are nonzero, each product above and its dual,
+# and (one digest) the list of them over the random set's such members.
+T_IRREDUCIBILITY_DIGESTS = {
+    "fig10a": "2adbb2e0ad086b206d20fdce66a9f02992c6275beb2ae400c8e8b7411785edd9",
+    "fig10b": "2adbb2e0ad086b206d20fdce66a9f02992c6275beb2ae400c8e8b7411785edd9",
+    "fig12a": "4128c97e11446395fcb9c8e54fc3ff14e8291714820799b960140923f8b034bc",
+    "fig12b": "4128c97e11446395fcb9c8e54fc3ff14e8291714820799b960140923f8b034bc",
+    "fig1a": "ca65496b1335ee14bed2e43abca68beceafc036e41bbb28b6f45b27fb1bba0f3",
+    "fig1b": "b3a6d75f816e568be28718e0bac75c60cd2e473faa7d527bde45e3c30b9add32",
+    "fig3a": "8cac0b5618c8a371642e98cacdc9126c72f4ae5ad5b1baef85ce9b14166fe109",
+    "fig3b": "02b7c78a6295be218b721e1174565d18c6774e51de7d9ac74b669f06fa40e76b",
+    "fig5a": "8f4ab1eae600f4fb59aaed23f48113067b8050f42e409e53451a34a25aaccf69",
+    "fig5b": "8f4ab1eae600f4fb59aaed23f48113067b8050f42e409e53451a34a25aaccf69",
+    "fig7": "ea9a055e5ffb3047e0dd996be38962b65cc8ccd63440edd1c1d30f6e8e401678",
+    "fig9": "caf58a102bca957ea12d2b5e815e108ff75cc562d01142afd5fa7f05aa8420ed",
+    "sec8-chain-example": "eb534a57faee98d23c843155e45de07f7e63c3dd212d38ff26b332e2895231e1",
+    "gf2-m6": "93b055d7d1196a2401dfdf4dc52f2024db1ab7b40ab2fb214727095b9f1de295",
+    "gf2-m6-dual": "0e8acbd43cd60e37f90be65ad89fc5ee79881caf8a4081386117253370f8d89e",
+    "gf3-m9": "ef77c377cf280ccc58081fb75c0d24140fde6bd843b2c4cfc495beb4ef2ccd50",
+    "gf3-m9-dual": "3f1100ab2b8d1da3d0351280db22577784b99c48a69abcc5337b0bafcf8f836b",
+    "gf3-m8": "44e03120845cdcccbec0d5ecb9720d7b347cce2966e24966d6269a7a91d6ffcc",
+    "gf3-m8-dual": "6c755f7c8a491a7b9af6a02549da2df5b2d9068cbf7222e7dc9ce9b0b7472840",
+    "random set": "33b2cdc32c10d1f69fbab226c85d6076412fab23c6286333189769353235a828",
+}
+
+
+def _decisions(t: Trellis) -> list[dict]:
+    """t_irreducibility at every t: verdict, note, and each step's record
+    and serialized result."""
+    out = []
+    for tparam in range(1, t.m):
+        dec = t_irreducibility(t, tparam)
+        out.append({
+            "t": tparam,
+            "verdict": dec.verdict,
+            "note": dec.note,
+            "records": [s.record() for s in dec.steps],
+            "results": [serialize(s.result) for s in dec.steps],
+        })
+    return out
+
+
+def _decidable(t: Trellis) -> bool:
+    code = realized_code(t)
+    return property_report(t).tpoc and not code.is_zero() and not code.is_full()
+
+
+def test_t_irreducibility_pinned(figures, random_set):
+    import hashlib
+
+    def digest(value) -> str:
+        return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+    inputs = {name: t for name, t in figures.items() if _decidable(t)}
+    for name, (p, m, gens) in T_IRREDUCIBILITY_PRODUCTS.items():
+        t = product(FieldSpec(p), [Generator(w, Span(s, n, m)) for w, s, n in gens], (1,) * m)
+        inputs[name], inputs[name + "-dual"] = t, dualize(t)
+    got = {name: digest(_decisions(t)) for name, t in inputs.items()}
+    got["random set"] = digest([_decisions(t) for t in random_set if _decidable(t)])
+    assert got == T_IRREDUCIBILITY_DIGESTS
+
+
 # --- driver and replay ----------------------------------------------------------
 
 def test_driver_reaches_conventional_on_merge_example(figures):
@@ -581,12 +656,12 @@ def test_driver_no_applicable_method(figures):
     assert reduce_driver(figures["fig12a"]).status == "no-applicable-method"
 
 
-def test_driver_monotone_and_code_preserving(figures, random_set):
+def test_driver_monotone_and_code_preserving(figures, random_set, built_steps):
     for t in list(random_set[:40]) + [figures["fig1b"], figures["fig4b"]]:
-        with audit_steps() as steps:
-            report = reduce_driver(t)
+        built_steps.clear()
+        report = reduce_driver(t)
         assert realized_code(report.final) == realized_code(t)
-        for step in steps:
+        for step in built_steps:
             assert realized_code(step.result) == realized_code(step.input)
             if step.strict:
                 assert sum(step.after_state_dims) < sum(step.before_state_dims)

@@ -11,7 +11,6 @@ from trellislab.trellis import (
     Trellis,
     behavior,
     dualize,
-    elementary,
     is_isomorphic,
     product,
     realized_code,
@@ -62,43 +61,75 @@ def test_validate_examples(figures):
         Trellis(GF2, 0, (), (), ())
 
 
-# --- elementary trellises ----------------------------------------------------
+# --- elementary trellises: products of one generator -------------------------
 
 def test_elementary_examples():
-    e = elementary(GF2, gen("101", 0, 3, 3), unit_dims(3))
+    e = product(GF2, [gen("101", 0, 3, 3)], unit_dims(3))
     assert e.state_dims == (0, 1, 1)
     assert oracles.enumerate_code(e) == {(0, 0, 0), (1, 0, 1)}
-    e2 = elementary(GF2, gen("110", 1, 3, 3), unit_dims(3))
+    e2 = product(GF2, [gen("110", 1, 3, 3)], unit_dims(3))
     assert e2.state_dims == (1, 0, 1)
     assert oracles.enumerate_code(e2) == {(0, 0, 0), (1, 1, 0)}
-    whole = elementary(GF2, gen("111", 1, 3, 3), unit_dims(3))
+    whole = product(GF2, [gen("111", 1, 3, 3)], unit_dims(3))
     assert whole.state_dims == (1, 0, 1)
     # span of full length: all states nonzero except the start
-    full = elementary(GF2, gen("101", 2, 3, 3), unit_dims(3))
+    full = product(GF2, [gen("101", 2, 3, 3)], unit_dims(3))
     assert full.state_dims == (1, 1, 0)
 
 
 def test_elementary_rejects_bad_spans():
-    with pytest.raises(ValueError):
-        elementary(GF2, gen("101", 0, 2, 3), unit_dims(3))  # support outside span
-    with pytest.raises(ValueError):
-        elementary(GF2, gen("000", 0, 3, 3), unit_dims(3))  # zero word
-    with pytest.raises(ValueError):
-        elementary(GF2, Generator((1, 0, 1), Span(0, 0, 3)), unit_dims(3))
+    with pytest.raises(ValueError, match="support at time 2 outside its span"):
+        product(GF2, [gen("101", 0, 2, 3)], unit_dims(3))
+    with pytest.raises(ValueError, match="word must be nonzero"):
+        product(GF2, [gen("000", 0, 3, 3)], unit_dims(3))
+    with pytest.raises(ValueError, match="span must be nonempty"):
+        product(GF2, [Generator((1, 0, 1), Span(0, 0, 3))], unit_dims(3))
+    with pytest.raises(ValueError, match="word length does not match symbol dims"):
+        product(GF2, [gen("101", 0, 3, 3)], (1, 1, 2))
+    # the first bad generator is reported, after any good ones
+    with pytest.raises(ValueError, match="word must be nonzero"):
+        product(GF2, [gen("110", 0, 2, 3), gen("000", 0, 3, 3), gen("101", 0, 2, 3)], unit_dims(3))
 
 
 def test_elementary_behavior_is_one_dimensional(figures):
     for word, start, length in (("101", 0, 3), ("110", 1, 3), ("011", 1, 2)):
-        e = elementary(GF2, gen(word, start, length, 3), unit_dims(3))
+        e = product(GF2, [gen(word, start, length, 3)], unit_dims(3))
         assert behavior(e).dim == 1
         assert len(oracles.enumerate_behavior(e)) == 2
 
 
 # --- products ----------------------------------------------------------------
 
-def test_product_of_one_is_identity(figures):
-    t = figures["fig1a"]
-    assert product([t]) == t
+@st.composite
+def generator_sets(draw):
+    """A field, symbol dims and 1 to 4 generators, each word drawn freely
+    inside its span (so it may be zero or dependent on the others)."""
+    field = FieldSpec(draw(st.sampled_from((2, 3, 5, 7))))
+    m = draw(st.integers(1, 8))
+    dims = tuple(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        span = Span(draw(st.integers(0, m - 1)), draw(st.integers(1, m)), m)
+        entry = st.integers(0, field.p - 1)
+        word = [draw(entry) if span.covers(i) else 0 for i, d in enumerate(dims) for _ in range(d)]
+        gens.append(Generator(tuple(word), span))
+    return field, dims, gens
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(generator_sets())
+def test_product_matches_enumeration(drawn):
+    """With independent words the product's trajectories are the p^k
+    combinations of the generators' paths: its code is their span, and S_i
+    has one coordinate per span with i in its interior."""
+    field, dims, gens = drawn
+    p, k, words = field.p, len(gens), [g.word for g in gens]
+    assume(p**k <= 343 and len(oracles.span_set(p, words)) == p**k)
+    t = product(field, gens, dims)
+    trajectories = oracles.enumerate_behavior(t)
+    assert {a for a, _ in trajectories} == oracles.span_set(p, words)  # oracles.enumerate_code
+    assert len(trajectories) == p**k
+    assert t.state_dims == tuple(sum(i in g.span.interior() for g in gens) for i in range(len(dims)))
 
 
 def test_product_realizes_sum_code(figures):
@@ -114,12 +145,13 @@ def test_product_realizes_sum_code(figures):
 
 
 def test_product_shape_mismatch():
-    a = elementary(GF2, gen("101", 0, 3, 3), unit_dims(3))
-    b = elementary(GF2, gen("1011", 0, 4, 4), unit_dims(4))
-    with pytest.raises(ValueError):
-        product([a, b])
-    with pytest.raises(ValueError):
-        product([])
+    # every span must lie on the axis of the symbol dims
+    with pytest.raises(ValueError, match="symbol dims must have length m"):
+        product(GF2, [gen("101", 0, 3, 3), gen("1011", 0, 4, 4)], unit_dims(3))
+    with pytest.raises(ValueError, match="symbol dims must have length m"):
+        product(GF2, [gen("101", 0, 3, 3)], ())
+    with pytest.raises(ValueError, match="product of no generators"):
+        product(GF2, [], unit_dims(3))
 
 
 # --- behavior ----------------------------------------------------------------
@@ -309,7 +341,7 @@ def test_isomorphism_decides_above_the_old_search_caps(p):
             for u, i in enumerate(sp.times()):
                 word[i] = rng.randrange(1 if u in (0, sp.length - 1) else 0, p)
             words.append(tuple(word))
-    t = product([elementary(field, Generator(w, sp), unit_dims(m)) for w, sp in zip(words, spans)])
+    t = product(field, [Generator(w, sp) for w, sp in zip(words, spans)], unit_dims(m))
     assert t.state_dims[0] == 4
     maps = []
     for d in t.state_dims:
