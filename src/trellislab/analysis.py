@@ -269,8 +269,9 @@ def property_report(t: Trellis) -> PropertyReport:
 class ChainReport:
     """Membership in the nested trellis classes for a given t parameter.
 
-    `kv` is None when the bounded generator search gave up; minimality is
-    never decided here.
+    `kv` is None when the shortest-span generator search passed its cap
+    (`reduction.MAX_KV_CANDIDATES`) or an isomorphism test was undecided;
+    minimality is never decided here.
     """
 
     tparam: int

@@ -1,10 +1,12 @@
 """Bundled worked-example corpus.
 
-Every entry is built programmatically here (the bundled data files are the
-serialized results), carries a manifest of expected properties, and, where
-one trellis arises from another by a reduction, a replayable chain of step
-records.  Manifests assert dimensions, flags, subspace-level values, and
-isomorphism, never literal state labels, since those are arbitrary.
+Every entry trellis is built programmatically here, and so is, where one
+trellis arises from another by a reduction, a replayable chain of step
+records; the bundled `.trellis` and chain files are their serialized
+results.  Each entry's manifest of expected properties lives only in the
+bundled `manifests.json`.  Manifests assert dimensions, flags,
+subspace-level values, and isomorphism, never literal state labels, since
+those are arbitrary.
 
 fig14a/fig14b are witnesses found by exhaustive search over small
 realizations: disconnected yet controllable trellises of the zero code, the
@@ -59,7 +61,6 @@ def _prod(m: int, gens) -> Trellis:
 @dataclass
 class CorpusBundle:
     trellises: dict[str, Trellis]
-    manifests: list[dict]
     chains: dict[str, list[dict]]
 
 
@@ -173,271 +174,7 @@ def build_corpus() -> CorpusBundle:
         fig14b=fig14b,
     )
     trellises["sec8-chain-example"] = sec8
-    return CorpusBundle(trellises, _manifests(), chains)
-
-
-def _flag(name: str, want: bool, origin: str = "stated") -> dict:
-    return {"check": "flag", "name": name, "want": want, "origin": origin}
-
-
-def _manifests() -> list[dict]:
-    return [
-        {
-            "id": "fig1a",
-            "file": "fig1a.trellis",
-            "expect": [
-                _flag("tpoc", True),
-                _flag("state_trim", True),
-                _flag("branch_trim", True),
-                _flag("nonmergeable", False),
-                _flag("connected", True, "computed"),
-                {"check": "state_dims", "want": [1, 1, 2], "origin": "stated"},
-                {"check": "code_words", "want": ["000", "110", "101", "011"], "origin": "stated"},
-                {"check": "dual_isomorphic_to", "want": "fig1b", "origin": "stated"},
-                {"check": "t_flag", "kind": "observable", "t": 3, "want": False, "origin": "stated"},
-                {"check": "classify", "tparam": 2, "want": {"tsb_poc": True, "ntsb_poc": False}, "origin": "stated"},
-                {"check": "chain", "source": "fig1a", "steps": "chains/fig1a__fig2a.jsonl", "target": "fig2a", "origin": "stated"},
-                {"check": "driver_final_conventional", "want": True, "origin": "stated"},
-            ],
-        },
-        {
-            "id": "fig1b",
-            "file": "fig1b.trellis",
-            "expect": [
-                _flag("tpoc", True),
-                _flag("nonmergeable", True, "computed"),
-                {"check": "not_state_trim_at", "want": [2], "origin": "stated"},
-                {"check": "code_words", "want": ["000", "111"], "origin": "stated"},
-                {"check": "chain", "source": "fig1b", "steps": "chains/fig1b__fig2b.jsonl", "target": "fig2b", "origin": "stated"},
-            ],
-        },
-        {
-            "id": "fig2a",
-            "file": "fig2a.trellis",
-            "expect": [
-                _flag("observable", False),
-                _flag("controllable", True, "computed"),
-                {"check": "state_dims", "want": [1, 1, 1], "origin": "computed"},
-                {"check": "code_equals", "other": "fig1a", "origin": "stated"},
-                {"check": "dual_isomorphic_to", "want": "fig2b", "origin": "stated"},
-            ],
-        },
-        {
-            "id": "fig2b",
-            "file": "fig2b.trellis",
-            "expect": [
-                _flag("observable", True, "computed"),
-                _flag("controllable", False),
-                _flag("branch_trim", True),
-                _flag("connected", False),
-                {"check": "t_flag", "kind": "observable", "t": 3, "want": True, "origin": "stated"},
-                {"check": "t_flag", "kind": "controllable", "t": 1, "want": False, "origin": "stated"},
-                {"check": "t_flag", "kind": "controllable", "t": 2, "want": False, "origin": "stated"},
-                {"check": "t_flag", "kind": "controllable", "t": 3, "want": False, "origin": "stated"},
-                {"check": "code_equals_dual_of", "other": "fig1a", "origin": "stated"},
-            ],
-        },
-        {
-            "id": "fig3a",
-            "file": "fig3a.trellis",
-            "expect": [
-                _flag("tpoc", True),
-                _flag("state_trim", True),
-                _flag("branch_trim", True),
-                _flag("nonmergeable", True),
-                {"check": "state_dims", "want": [2, 1, 1, 2, 2], "origin": "computed"},
-                {"check": "code_dim", "want": 3, "origin": "stated"},
-                {"check": "t_flag", "kind": "observable", "t": 5, "want": True, "origin": "stated"},
-                {"check": "t_flag", "kind": "observable", "t": 4, "want": False, "origin": "stated"},
-                {"check": "dual_isomorphic_to", "want": "fig3b", "origin": "stated"},
-                {"check": "chain", "source": "fig3a", "steps": "chains/fig3a__fig4a.jsonl", "target": "fig4a", "origin": "stated"},
-                {"check": "driver_final_conventional", "want": True, "origin": "stated"},
-            ],
-        },
-        {
-            "id": "fig3b",
-            "file": "fig3b.trellis",
-            "expect": [
-                _flag("tpoc", True),
-                _flag("state_trim", True),
-                _flag("nonmergeable", True),
-                {"check": "not_branch_trim_at", "want": [4], "origin": "stated"},
-                {"check": "constraint_dim_at", "time": 4, "want": 3, "origin": "stated"},
-                {"check": "chain", "source": "fig3b", "steps": "chains/fig3b__fig4b.jsonl", "target": "fig4b", "origin": "stated"},
-            ],
-        },
-        {
-            "id": "fig4a",
-            "file": "fig4a.trellis",
-            "expect": [
-                _flag("observable", False),
-                _flag("controllable", True, "computed"),
-                {"check": "state_dims", "want": [2, 1, 1, 2, 2], "origin": "computed"},
-                {"check": "code_equals", "other": "fig3a", "origin": "stated"},
-                {"check": "dual_isomorphic_to", "want": "fig4b", "origin": "stated"},
-                {"check": "chain", "source": "fig4a", "steps": "chains/fig4a__fig5a.jsonl", "target": "fig5a", "origin": "stated"},
-            ],
-        },
-        {
-            "id": "fig4b",
-            "file": "fig4b.trellis",
-            "expect": [
-                _flag("observable", True, "computed"),
-                _flag("controllable", False),
-                _flag("branch_trim", True),
-                _flag("connected", False),
-                {"check": "t_flag", "kind": "controllable", "t": 5, "want": False, "origin": "stated"},
-                {"check": "code_equals_dual_of", "other": "fig3a", "origin": "stated"},
-                {"check": "chain", "source": "fig4b", "steps": "chains/fig4b__fig5b.jsonl", "target": "fig5b", "origin": "stated"},
-            ],
-        },
-        {
-            "id": "fig5a",
-            "file": "fig5a.trellis",
-            "expect": [
-                _flag("tpoc", True),
-                {"check": "state_dims", "want": [2, 1, 1, 2, 1], "origin": "stated"},
-                {"check": "code_equals", "other": "fig3a", "origin": "stated"},
-                {"check": "jk_observable", "start": 0, "len": 3, "want": False, "origin": "stated"},
-                {"check": "condition", "start": 0, "tlen": 2, "want": "A", "origin": "stated"},
-                {"check": "dual_isomorphic_to", "want": "fig5b", "origin": "stated"},
-                {"check": "chain", "source": "fig5a", "steps": "chains/fig5a__fig6.jsonl", "target": "fig6", "origin": "stated"},
-            ],
-        },
-        {
-            "id": "fig5b",
-            "file": "fig5b.trellis",
-            "expect": [
-                _flag("tpoc", True, "computed"),
-                {"check": "code_equals_dual_of", "other": "fig3a", "origin": "stated"},
-            ],
-        },
-        {
-            "id": "fig6",
-            "file": "fig6.trellis",
-            "expect": [
-                _flag("observable", False, "computed"),
-                {"check": "state_dims", "want": [2, 1, 1, 2, 2], "origin": "stated"},
-                {"check": "code_equals", "other": "fig3a", "origin": "stated"},
-            ],
-        },
-        {
-            "id": "fig7",
-            "file": "fig7.trellis",
-            "expect": [
-                _flag("tpoc", True),
-                _flag("state_trim", True),
-                _flag("branch_trim", True),
-                {"check": "state_dims", "want": [3, 3, 3, 2, 1, 1, 2, 2, 2], "origin": "computed"},
-                {"check": "code_dim", "want": 6, "origin": "computed"},
-                {"check": "chi", "want": 3, "origin": "stated"},
-                {"check": "chi_dual", "want": 6, "origin": "stated"},
-                {"check": "t_flag", "kind": "observable", "t": 7, "want": True, "origin": "stated"},
-                {"check": "t_flag", "kind": "controllable", "t": 7, "want": True, "origin": "stated"},
-                {"check": "t_flag", "kind": "observable", "t": 6, "want": False, "origin": "stated"},
-                {"check": "jk_observable", "start": 0, "len": 6, "want": False, "origin": "stated"},
-                {"check": "condition", "start": 0, "tlen": 3, "want": "A", "origin": "stated"},
-                {"check": "t_irreducible", "tparam": 2, "want": "irreducible", "origin": "stated"},
-                {"check": "kv", "want": False, "origin": "stated"},
-                {"check": "chain", "source": "fig7", "steps": "chains/fig7__fig8.jsonl", "target": "fig8", "origin": "stated"},
-                {"check": "chain", "source": "fig7", "steps": "chains/fig7__fig9.jsonl", "target": "fig9", "origin": "stated"},
-            ],
-        },
-        {
-            "id": "fig8",
-            "file": "fig8.trellis",
-            "expect": [
-                _flag("observable", False, "computed"),
-                {"check": "state_dims", "want": [3, 3, 3, 2, 1, 1, 2, 3, 3], "origin": "stated"},
-                {"check": "code_equals", "other": "fig7", "origin": "stated"},
-            ],
-        },
-        {
-            "id": "fig9",
-            "file": "fig9.trellis",
-            "expect": [
-                _flag("tpoc", True, "computed"),
-                {"check": "state_dims", "want": [3, 3, 3, 2, 1, 1, 1, 2, 2], "origin": "stated"},
-                {"check": "code_equals", "other": "fig7", "origin": "stated"},
-                {"check": "t_flag", "kind": "observable", "t": 7, "want": True, "origin": "stated"},
-                {"check": "t_flag", "kind": "controllable", "t": 7, "want": True, "origin": "stated"},
-                {"check": "no_zero_run_witness", "want": True, "origin": "stated"},
-                {"check": "driver_status", "want": "no-applicable-method", "origin": "computed"},
-            ],
-        },
-        {
-            "id": "fig10a",
-            "file": "fig10a.trellis",
-            "expect": [
-                _flag("tpoc", True),
-                _flag("state_trim", True),
-                _flag("branch_trim", True),
-                _flag("nonmergeable", True, "computed"),
-                {"check": "state_dims", "want": [1, 2, 2, 2, 1, 2], "origin": "computed"},
-                {"check": "chi", "want": 2, "origin": "stated"},
-                {"check": "chi_dual", "want": 3, "origin": "stated"},
-                {"check": "no_zero_run_witness", "want": True, "origin": "stated"},
-                {"check": "driver_status", "want": "no-applicable-method", "origin": "stated"},
-                {"check": "dual_isomorphic_to", "want": "fig10b", "origin": "stated"},
-            ],
-        },
-        {
-            "id": "fig10b",
-            "file": "fig10b.trellis",
-            "expect": [
-                _flag("tpoc", True),
-                {"check": "no_zero_run_witness", "want": True, "origin": "stated"},
-                {"check": "code_equals_dual_of", "other": "fig10a", "origin": "stated"},
-            ],
-        },
-        {
-            "id": "fig12a",
-            "file": "fig12a.trellis",
-            "expect": [
-                _flag("tpoc", True, "computed"),
-                {"check": "state_dims", "want": [1, 1, 2, 2, 1, 0], "origin": "computed"},
-                {"check": "code_equals", "other": "fig10a", "origin": "stated"},
-                {"check": "t_irreducible", "tparam": 1, "want": "irreducible", "origin": "stated"},
-            ],
-        },
-        {
-            "id": "fig12b",
-            "file": "fig12b.trellis",
-            "expect": [
-                {"check": "state_dims", "want": [1, 1, 2, 2, 1, 0], "origin": "computed"},
-                {"check": "code_equals_dual_of", "other": "fig10a", "origin": "stated"},
-                {"check": "dual_isomorphic_to", "want": "fig12a", "origin": "definitional"},
-            ],
-        },
-        {
-            "id": "fig14a",
-            "file": "fig14a.trellis",
-            "expect": [
-                _flag("controllable", True),
-                _flag("connected", False),
-                _flag("state_trim", False),
-                {"check": "code_dim", "want": 0, "origin": "stated"},
-            ],
-        },
-        {
-            "id": "fig14b",
-            "file": "fig14b.trellis",
-            "expect": [
-                _flag("controllable", True),
-                _flag("connected", False),
-                _flag("state_trim", False),
-                {"check": "code_dim", "want": 0, "origin": "stated"},
-            ],
-        },
-        {
-            "id": "sec8-chain-example",
-            "file": "sec8-chain-example.trellis",
-            "expect": [
-                {"check": "state_dims", "want": [2, 1, 1, 1, 2, 2, 2], "origin": "computed"},
-                {"check": "classify", "tparam": 2, "want": {"tsb_poc": True, "ntsb_poc": True, "irreducible_class": False, "within_chi_window": True}, "origin": "stated"},
-            ],
-        },
-    ]
+    return CorpusBundle(trellises, chains)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +198,6 @@ def write_corpus(directory: Path | str) -> None:
     for name, records in bundle.chains.items():
         text = "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
         (directory / "chains" / f"{name}.jsonl").write_text(text)
-    (directory / "manifests.json").write_text(
-        json.dumps(bundle.manifests, indent=1, sort_keys=True) + "\n"
-    )
 
 
 class CorpusError(Exception):

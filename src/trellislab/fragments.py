@@ -60,7 +60,7 @@ def compose(r: Subspace, s: Subspace, b: int) -> Subspace:
     A zero r gives 0^a x cross_section(s, z), a full r GF(p)^a x project(s, z),
     both canonical as built and kept in s.memo.  Otherwise the rows (y | x | 0)
     of r's basis and (-y | 0 | z) of s's are reduced together, y columns first:
-    the rows that vanish on y span the combinations whose y parts cancel."""
+    the rows that vanish on y span the sums of rows whose y parts cancel."""
     field, p = r.field, r.field.p
     a, c = r.ambient_dim - b, s.ambient_dim - b
     if r.is_zero() or r.is_full():

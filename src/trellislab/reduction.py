@@ -11,8 +11,8 @@ step rewrote, and the realized codes only when that does not decide it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product as iter_product
-from math import comb
+from itertools import product as iter_product
+from math import prod
 
 from .galois import (
     Mat,
@@ -644,56 +644,106 @@ class SpanProfile:
     per_position: tuple[int | None, ...]
 
 
+def _from_start(code: Subspace, a: int) -> Mat:
+    """code's basis in RREF with the columns ordered a-1, a-2, ..., a.  The
+    rows pivoting at column m-r or later vanish on a-1, ..., a+r, so they
+    span D(a, r), the subcode supported in [a, a+r)."""
+    m = code.ambient_dim
+    order = [(a - 1 - q) % m for q in range(m)]
+    return rref(Mat(code.field, m, tuple(tuple(row[c] for c in order) for row in code.basis.entries)))
+
+
 def span_profile(code: Subspace) -> SpanProfile:
-    """The span profile by one elimination per start a, kept in code.memo.
-    With the columns ordered a-1, a-2, ..., a, the codewords inside [a, a+r)
-    are those vanishing on the first m-r columns, spanned by the RREF rows
-    pivoting at m-r or later; so among the rows nonzero at a, the last
-    column, the rightmost pivot P gives the shortest span r = m - P."""
+    """The span profile by one elimination per start a (`_from_start`), kept
+    in code.memo: among the rows nonzero at a, the last column, the rightmost
+    pivot P gives the shortest span r = m - P from a."""
     m = code.ambient_dim
     if code.dim == 0:
         raise ValueError("the zero code has no spans")
     if "span-profile" not in code.memo:
         per: list[int | None] = []
         for a in range(m):
-            order = [(a - 1 - q) % m for q in range(m)]
-            reduced = rref(Mat(code.field, m, tuple(tuple(row[c] for c in order) for row in code.basis.entries)))
-            pivots = [row.index(1) for row in reduced.entries if row[-1]]
+            pivots = [row.index(1) for row in _from_start(code, a).entries if row[-1]]
             per.append(m - max(pivots) if pivots else None)
         code.memo["span-profile"] = SpanProfile(min(r for r in per if r is not None), tuple(per))
     return code.memo["span-profile"]
 
 
-MAX_ENUMERATED_WORDS = 4096
-MAX_KV_START_SETS = 512
-MAX_KV_WORD_COMBOS = 512
+MAX_KV_CANDIDATES = 512
 MAX_DRIVER_ROUNDS = 200
 
 
-def _shortest_span_words(code: Subspace) -> list[list[tuple[int, ...]]]:
-    """For every start a, in one pass over the code, kept in code.memo: the
-    codewords nonzero at a whose span from a is the shortest, sorted
-    lexicographically ([] where no codeword is nonzero at a).  Raises past
-    MAX_ENUMERATED_WORDS codewords."""
-    if code.field.p ** code.dim > MAX_ENUMERATED_WORDS:
-        raise ValueError(f"the code has more than {MAX_ENUMERATED_WORDS} words to enumerate")
-    if "shortest-span-words" not in code.memo:
-        m, per = code.ambient_dim, span_profile(code).per_position
-        words: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
-        for w in code.vectors():
-            support = [q for q, x in enumerate(w) if x]
-            for a in support:
-                if max((q - a) % m for q in support) + 1 == per[a]:
-                    words[a].append(w)
-        code.memo["shortest-span-words"] = [sorted(ws) for ws in words]
-    return code.memo["shortest-span-words"]
+def _shortest_span_subcode(code: Subspace, a: int) -> Subspace:
+    """D(a, r) for the shortest span r from a, kept in code.memo: the rows of
+    start a's elimination that pivot at m-r or later, with their columns put
+    back in order.  Every member nonzero at a spans at least r from a, so
+    exactly r: these are the codewords of shortest span from a, and the
+    lexicographically first of them is the last canonical basis row of
+    D(a, r) that is nonzero at a."""
+    key = ("shortest-span-subcode", a)
+    if key not in code.memo:
+        m, r = code.ambient_dim, span_profile(code).per_position[a]
+        rows = [row for row in _from_start(code, a).entries if row.index(1) >= m - r]
+        code.memo[key] = Subspace.span(code.field, m, [[row[(a - 1 - c) % m] for c in range(m)] for row in rows])
+    return code.memo[key]
+
+
+def _shortest_span_words(code: Subspace, a: int) -> list[tuple[int, ...]]:
+    """The codewords nonzero at a whose span from a is the shortest, sorted:
+    the p^dim D - p^(dim D - 1) members of D = `_shortest_span_subcode`
+    nonzero at a.  Only D is enumerated, never the code."""
+    return sorted(w for w in _shortest_span_subcode(code, a).vectors() if w[a])
+
+
+def _kv_start_sets(state_dims, per_position, k: int) -> list[tuple[int, ...]] | None:
+    """Every set of k starts whose shortest spans (from a, of length
+    per_position[a] >= 2) have distinct ends and interior counts equal to
+    state_dims, in lexicographic order; None past MAX_KV_CANDIDATES subsets
+    of free cycles.
+
+    A span adds one to the states from its start + 1 to its end, so
+    state_dims[q+1] - state_dims[q] is [q is a start] - [q is an end]: +1 at
+    a start that is not an end, -1 at an end that is not a start, 0 at a
+    time that is both or neither.  So every +1 step is a start; the end of a
+    start is a start when it is a 0 step; and the other starts, all 0 steps,
+    are the ends of each other, a union of cycles of a -> end(a).  The sets
+    are the +1 steps with their chains of ends through 0 steps, joined by
+    any subset of the cycles among the remaining 0 steps, kept when they
+    have exactly k starts, distinct ends and the interior counts."""
+    m = len(state_dims)
+    end = [(a + r - 1) % m for a, r in enumerate(per_position)]
+    step = [state_dims[(q + 1) % m] - state_dims[q] for q in range(m)]
+    forced = [q for q in range(m) if step[q] == 1]
+    for a in forced:  # the list grows by each chain's next start
+        if step[end[a]] == 0 and end[a] not in forced:
+            forced.append(end[a])
+    free = {q for q in range(m) if step[q] == 0} - set(forced)
+    cycles = []
+    for q in sorted(free):
+        orbit = [q]
+        while end[orbit[-1]] in free and end[orbit[-1]] not in orbit:
+            orbit.append(end[orbit[-1]])
+        if end[orbit[-1]] == q == min(orbit):
+            cycles.append(orbit)
+    if 2 ** len(cycles) > MAX_KV_CANDIDATES:
+        return None
+    found = []
+    for picks in iter_product(*([(), c] for c in cycles)):
+        starts = sorted(set(forced).union(*picks))
+        counts = [0] * m
+        for a in starts:
+            for q in Span(a, per_position[a], m).interior():
+                counts[q] += 1
+        if len(starts) == k and len({end[a] for a in starts}) == k and tuple(counts) == tuple(state_dims):
+            found.append(tuple(starts))
+    return sorted(found)
 
 
 def kv_trellis(code: Subspace, start_assignment) -> Trellis:
     """Product trellis from shortest-span generators at the assigned start
-    positions (greedy lexicographic choice), requiring pairwise distinct
-    starts and ends and linear independence.  Raises past
-    MAX_ENUMERATED_WORDS codewords."""
+    positions, each the first of `_shortest_span_words` read off the basis of
+    `_shortest_span_subcode`, requiring pairwise distinct starts and ends and
+    linear independence."""
     m = code.ambient_dim
     starts = list(start_assignment)
     if code.dim == 0:
@@ -705,12 +755,8 @@ def kv_trellis(code: Subspace, start_assignment) -> Trellis:
     if prof.chi <= 1 or dual_prof.chi <= 1:
         raise ValueError("code and dual must both have full support")
     gens, ends = [], []
-    words_at = _shortest_span_words(code)
     for a in starts:
-        words = words_at[a]
-        if not words:
-            raise ValueError(f"no codeword is nonzero at position {a}")
-        w = words[0]
+        w = next(row for row in reversed(_shortest_span_subcode(code, a).basis.entries) if row[a])
         r = prof.per_position[a]
         gens.append(Generator(w, Span(a, r, m)))
         ends.append((a + r - 1) % m)
@@ -723,11 +769,13 @@ def kv_trellis(code: Subspace, start_assignment) -> Trellis:
 
 
 def is_kv_trellis(t: Trellis) -> bool | None:
-    """Bounded search for a shortest-span generator set whose product trellis
-    is isomorphic to t.  None when the search space exceeds a cap (more than
-    MAX_ENUMERATED_WORDS codewords, MAX_KV_START_SETS start sets or, for one
-    start set, MAX_KV_WORD_COMBOS word combinations) or an isomorphism test
-    was undecided, which needs t not state-trim (each candidate is observable)."""
+    """Whether t is isomorphic to a product of shortest-span generators: one
+    word from each start of a set `_kv_start_sets` reads off t's state
+    profile, taken from that start's `_shortest_span_words`.  None when the
+    search passes MAX_KV_CANDIDATES (free-cycle subsets, or one start set's
+    tuples of words, counted before any is listed) or an isomorphism test
+    was undecided, which needs t not state-trim (each candidate is
+    observable)."""
     if any(d != 1 for d in t.symbol_dims):
         return False
     code = realized_code(t)
@@ -739,32 +787,18 @@ def is_kv_trellis(t: Trellis) -> bool | None:
         return False
     if span_profile(dual_code).chi <= 1 or prof.chi <= 1:
         return False
-    m = t.m
-    kdim = code.dim
-    if comb(m, kdim) > MAX_KV_START_SETS:
+    m, p, kdim, per = t.m, code.field.p, code.dim, prof.per_position
+    start_sets = _kv_start_sets(t.state_dims, per, kdim)
+    if start_sets is None:
         return None
-    if code.field.p ** code.dim > MAX_ENUMERATED_WORDS:
-        return None
-    words_at = _shortest_span_words(code)
     undecided = False
-    for starts in combinations(range(m), kdim):
-        dims_at = [0] * m
-        spans = [Span(a, prof.per_position[a], m) for a in starts]
-        ends = [(a + prof.per_position[a] - 1) % m for a in starts]
-        if len(set(ends)) != kdim:
-            continue
-        for sp in spans:
-            for q in sp.interior():
-                dims_at[q] += 1
-        if tuple(dims_at) != t.state_dims:
-            continue
-        pools = [words_at[a] for a in starts]
-        total = 1
-        for pool in pools:
-            total *= len(pool)
-        if total > MAX_KV_WORD_COMBOS:
+    for starts in start_sets:
+        spans = [Span(a, per[a], m) for a in starts]
+        sizes = [(p - 1) * p ** (_shortest_span_subcode(code, a).dim - 1) for a in starts]
+        if prod(sizes) > MAX_KV_CANDIDATES:
             undecided = True
             continue
+        pools = [_shortest_span_words(code, a) for a in starts]
         for combo in iter_product(*pools):
             mat = Mat.from_rows(code.field, m, combo)
             if rref(mat).rows != kdim:

@@ -2,7 +2,9 @@
 
 The random set is size-filtered so that the brute-force path enumeration
 oracles stay cheap; the filters use library dimension counts only to size
-the instances, never to decide an expected value.
+the instances, never to decide an expected value.  Every Hypothesis test
+runs derandomized, so each run draws the same examples and keeps no
+example database.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from trellislab import reduction
 from trellislab.galois import FieldSpec, Subspace
@@ -22,6 +24,9 @@ from trellislab.trellis import Span
 from trellislab.corpus import build_corpus
 
 import oracles
+
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def random_subspace(rng: random.Random, field: FieldSpec, n: int, dim: int | None = None) -> Subspace:

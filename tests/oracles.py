@@ -7,16 +7,21 @@ Kept deliberately dumb.  Two exceptions use the library's elimination:
 `kernel_fragment`, the reference for fragment behaviors too large to walk,
 takes `galois.kernel` of the fragment's scattered parity checks, not the
 `compose` chains behind `fragments.fragment`; `greedy_complement_columns`
-is the rank loop that defines `galois.complement`, not its read-off.
+is the rank loop that defines `galois.complement`, not its read-off.  The
+KV search reference (`kv_start_sets`, `shortest_span_words`, `kv_verdict`)
+is the walk over every start set and the pass over the whole code that
+`reduction.is_kv_trellis` replaced; it tests independence with
+`galois.rank`, builds its candidates with `trellis.product` and compares
+them with `trellis.is_isomorphic`.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
 from trellislab.galois import Mat, Subspace, kernel, project, rank
-from trellislab.trellis import _scatter_checks
+from trellislab.trellis import Generator, Span, _scatter_checks, is_isomorphic, product
 
 
 def all_vectors(p: int, n: int):
@@ -147,6 +152,68 @@ def min_span_length(p: int, codewords: set[tuple[int, ...]], m: int) -> int:
     if not spans:
         raise ValueError("zero code has no spans")
     return min(spans)
+
+
+def shortest_span_words(code) -> list[list[tuple[int, ...]]]:
+    """For every start a, in one pass over the enumerated code: the codewords
+    nonzero at a whose span from a is the shortest, sorted ([] where no
+    codeword is nonzero at a)."""
+    m, members = code.ambient_dim, subspace_set(code)
+    per = shortest_span_lengths(members, m)
+    words: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+    for w in members:
+        support = [q for q, x in enumerate(w) if x]
+        for a in support:
+            if max((q - a) % m for q in support) + 1 == per[a]:
+                words[a].append(w)
+    return [sorted(ws) for ws in words]
+
+
+def kv_start_sets(state_dims, per, k: int) -> list[tuple[int, ...]]:
+    """Every k-subset of starts, in lexicographic order, whose shortest spans
+    (from a, of length per[a]) have distinct ends and whose interior counts
+    equal state_dims: all C(m, k) of them are tried."""
+    m = len(state_dims)
+    out = []
+    for starts in combinations(range(m), k):
+        if len({(a + per[a] - 1) % m for a in starts}) != k:
+            continue
+        counts = [0] * m
+        for a in starts:
+            for u in range(1, per[a]):
+                counts[(a + u) % m] += 1
+        if tuple(counts) == tuple(state_dims):
+            out.append(starts)
+    return out
+
+
+def kv_verdict(t, code, cap: int) -> bool | None:
+    """Whether t, with symbol dims 1, is isomorphic to the product of one
+    shortest-span word per start of some `kv_start_sets` set, the words taken
+    from `shortest_span_words` and independent; None when no such product
+    is, and some start set has more than `cap` tuples of words or some
+    isomorphism test is undecided."""
+    m, k = code.ambient_dim, code.dim
+    words = shortest_span_words(code)
+    per = shortest_span_lengths(subspace_set(code), m)
+    undecided = False
+    for starts in kv_start_sets(t.state_dims, per, k):
+        pools = [words[a] for a in starts]
+        total = 1
+        for pool in pools:
+            total *= len(pool)
+        if total > cap:
+            undecided = True
+            continue
+        for combo in iter_product(*pools):
+            if rank(Mat.from_rows(code.field, m, combo)) != k:
+                continue
+            gens = [Generator(w, Span(a, per[a], m)) for w, a in zip(combo, starts)]
+            iso = is_isomorphic(t, product(code.field, gens, t.symbol_dims)).isomorphic
+            if iso is True:
+                return True
+            undecided |= iso is None
+    return None if undecided else False
 
 
 def kernel_fragment(t, iv):

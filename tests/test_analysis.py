@@ -261,7 +261,7 @@ def test_classify_chain_examples(figures):
     assert r8.ntsb_poc and not r8.irreducible_class and r8.within_chi_window
     conv = classify_chain(figures["fig12a"], 2)
     assert conv.tsb_poc and conv.ntsb_poc and conv.irreducible_class
-    assert conv.kv in (True, None)
+    assert conv.kv is True
     assert conv.minimal is None
 
 

@@ -1,5 +1,3 @@
-import json
-
 from trellislab.corpus import (
     build_corpus,
     default_corpus_dir,
@@ -16,8 +14,6 @@ def test_bundled_files_match_programmatic_build():
     directory = default_corpus_dir()
     for name, t in bundle.trellises.items():
         assert (directory / f"{name}.trellis").read_text() == specfile.serialize(t)
-    stored = json.loads((directory / "manifests.json").read_text())
-    assert stored == bundle.manifests
     for name, records in bundle.chains.items():
         assert load_chain(directory, f"chains/{name}.jsonl") == records
 

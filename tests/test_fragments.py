@@ -243,7 +243,7 @@ def test_fragment_duality_gf3_signs():
             assert report.holds and report.dual_external_matches
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(trellises())
 def test_fragment_duality_on_any_trellis(t):
     # both halves, at every interval; p up to 7 and state dims up to 3

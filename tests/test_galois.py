@@ -187,7 +187,7 @@ def small_subspaces(draw, bound: int = 729) -> Subspace:
     return Subspace.span(FieldSpec(p), n, draw(st.lists(row, max_size=n)))
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(small_subspaces(bound=7**6))
 def test_complement_matches_the_greedy_rank_loop(s):
     kept = oracles.greedy_complement_columns(s)
@@ -195,7 +195,7 @@ def test_complement_matches_the_greedy_rank_loop(s):
     assert complement(s) == Subspace.span(s.field, n, [[int(k == c) for k in range(n)] for c in kept])
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(small_subspaces())
 def test_quotient_map_matches_brute_force(s):
     q = quotient_map(s)

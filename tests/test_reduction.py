@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from trellislab.galois import GF2, GF3, FieldSpec, Subspace, orthogonal
 from trellislab.trellis import (
@@ -81,7 +81,7 @@ def test_trim_merge_duality_random(random_set, rng):
     assert checked >= 60
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_restrict_block_matches_brute_force(data):
     """The kernel of c's pulled-back parity checks is the set of c's members
@@ -399,17 +399,17 @@ def test_kv_trellis_rejects_zero_code():
         kv_trellis(Subspace.zero(GF2, 3), [])
 
 
-def test_kv_search_fails_closed_past_the_word_cap():
-    # the even-weight code of length 24 has 2^23 words: the search reports
-    # "undecided" at once instead of enumerating them
+def test_kv_search_decides_the_even_weight_code_at_once():
+    # the even-weight code of length 24 has 2^23 words: its one start set is
+    # read off the state profile and each start's words off a D(a, 2) of
+    # dimension 1, so the code is never enumerated
     m = 24
     code = Subspace.span(GF2, m, [[int(q in (i, i + 1)) for q in range(m)] for i in range(m - 1)])
     t = conventional_trellis(code, 0)
     began = time.perf_counter()
-    assert is_kv_trellis(t) is None
+    assert is_kv_trellis(t) is True
     assert time.perf_counter() - began < 1.0
-    with pytest.raises(ValueError, match="words to enumerate"):
-        kv_trellis(code, range(m - 1))
+    assert is_isomorphic(kv_trellis(code, range(m - 1)), t).isomorphic is True
 
 
 def test_fig7_is_not_kv(figures):
@@ -424,8 +424,65 @@ def test_fig7_is_not_kv(figures):
 
 
 def test_is_kv_reports_undecided_above_cap(figures, monkeypatch):
-    monkeypatch.setattr(reduction, "MAX_KV_START_SETS", 1)
+    # fig7's state profile leaves one free cycle of a -> end(a): two subsets
+    monkeypatch.setattr(reduction, "MAX_KV_CANDIDATES", 1)
     assert is_kv_trellis(figures["fig7"]) is None
+
+
+@st.composite
+def kv_products(draw) -> Trellis:
+    """A product of 1 to m-1 generators over GF(2), GF(3) or GF(5), m 3 to 9,
+    each word drawn inside its span with nonzero ends, or that product's dual."""
+    field = FieldSpec(draw(st.sampled_from((2, 3, 5))))
+    m = draw(st.integers(3, 9))
+    gens = []
+    for _ in range(draw(st.integers(1, m - 1))):
+        span = Span(draw(st.integers(0, m - 1)), draw(st.integers(2, m)), m)
+        word = [0] * m
+        for u, q in enumerate(span.times()):
+            word[q] = draw(st.integers(int(u in (0, span.length - 1)), field.p - 1))
+        gens.append(Generator(tuple(word), span))
+    t = product(field, gens, (1,) * m)
+    return dualize(t) if draw(st.booleans()) else t
+
+
+def _gf_product(p, m, gens) -> Trellis:
+    return product(FieldSpec(p), [Generator(w, Span(a, n, m)) for w, a, n in gens], (1,) * m)
+
+
+# a state profile with two free cycles of a -> end(a), one of them the start set
+FREE_CYCLE = _gf_product(3, 6, [((0, 2, 2, 2, 1, 2), 1, 5), ((2, 1, 0, 0, 0, 1), 5, 3)])
+# one start set, whose pools of 4, 100 and 20 words give 8,000 tuples: past the cap
+PAST_THE_CAP = _gf_product(
+    5, 7, [((3, 1, 4, 0, 0, 0, 0), 0, 3), ((0, 4, 0, 4, 1, 2, 4), 5, 7), ((2, 0, 0, 2, 0, 0, 4), 6, 5)]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kv_products())
+@example(FREE_CYCLE)
+@example(PAST_THE_CAP)
+def test_kv_search_matches_the_start_set_walk(t):
+    """The start sets read off the state profile are those of the walk over
+    all C(m, k) sets, each start's words those of a pass over the code, and
+    the verdict is the walk's wherever the walk decides."""
+    code = realized_code(t)
+    assume(0 < code.dim < t.m and code.field.p**code.dim <= 3125)
+    prof = span_profile(code)
+    assume(None not in prof.per_position and prof.chi > 1 and span_profile(orthogonal(code)).chi > 1)
+    per, k = prof.per_position, code.dim
+    assert reduction._kv_start_sets(t.state_dims, per, k) == oracles.kv_start_sets(t.state_dims, per, k)
+    assert [reduction._shortest_span_words(code, a) for a in range(t.m)] == oracles.shortest_span_words(code)
+    want = oracles.kv_verdict(t, code, reduction.MAX_KV_CANDIDATES)
+    if want is not None:
+        assert is_kv_trellis(t) is want
+
+
+def test_kv_search_examples_reach_a_free_cycle_and_the_cap():
+    code = realized_code(FREE_CYCLE)
+    assert reduction._kv_start_sets(FREE_CYCLE.state_dims, span_profile(code).per_position, 2) == [(1, 5)]
+    assert is_kv_trellis(FREE_CYCLE) is True
+    assert is_kv_trellis(PAST_THE_CAP) is None
 
 
 def test_dual_of_kv_is_kv():
@@ -728,7 +785,7 @@ def test_replay_reproduces_driver_results_on_random_set(random_set):
         _replays_exactly(t)
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(trellises())
 def test_replay_reproduces_driver_results_on_any_trellis(t):
     _replays_exactly(t)
@@ -745,7 +802,7 @@ def test_step_records_are_json_ready(figures):
 
 # --- code preservation over the changed interval -------------------------------
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(trellises(), st.data())
 def test_same_code_agrees_with_the_realized_codes(t, data):
     """Trim or merge of S_i by a drawn subspace, or a drawn replacement of

@@ -32,7 +32,7 @@ def test_round_trip_random():
         assert specfile.parse(specfile.serialize(t)) == t
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(trellises())
 def test_round_trip_any_trellis(t):
     assert specfile.parse(specfile.serialize(t)) == t
@@ -77,13 +77,13 @@ def _parses_or_spec_error(text: str) -> None:
         pass
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.text(SPEC_CHARS))
 def test_parse_any_text_gives_a_trellis_or_a_spec_error(text):
     _parses_or_spec_error(text)
 
 
-@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(
     st.sampled_from(SPEC_TEXTS),
     st.lists(st.tuples(st.sampled_from("idr"), st.floats(0, 1, exclude_max=True), SPEC_CHARS), min_size=1, max_size=8),

@@ -56,7 +56,7 @@ def test_profile_matches_full_grid(figures, random_set, bench_inputs, tmp_path):
 
 # --- property-based ----------------------------------------------------------------
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(trellises())
 def test_profile_matches_full_grid_on_any_trellis(t):
     prof = t_observability_profile(t)  # raises if the cross-check fails

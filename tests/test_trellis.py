@@ -116,7 +116,7 @@ def generator_sets(draw):
     return field, dims, gens
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(generator_sets())
 def test_product_matches_enumeration(drawn):
     """With independent words the product's trajectories are the p^k

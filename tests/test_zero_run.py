@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from trellislab import reduction
 from trellislab.galois import Subspace, cross_section
 from trellislab.specfile import parse, serialize
-from trellislab.trellis import Span, dualize
+from trellislab.trellis import Span, dualize, realized_code
 from trellislab.fragments import _local_relation, _unobservable_reach, transition_relation
 from trellislab.reduction import (
     _zero_run_sites,
@@ -195,7 +195,7 @@ def test_pruned_site_search_matches_full_grid(figures, random_set):
     assert cases[True] and cases[False]
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(trellises())
 def test_pruned_site_search_matches_full_grid_on_any_trellis(t):
     """Hypothesis-drawn trellises need not be proper, so many take the m-1
@@ -229,20 +229,26 @@ def test_reach_is_where_each_unobservable_chain_vanishes(figures, random_set):
     assert _unobservable_reach(fig14b_dual) == (1, 1)
 
 
-# --- one shortest-span pass per code ---------------------------------------------
+# --- no enumeration of the code ---------------------------------------------------
 
-def test_is_kv_trellis_enumerates_each_code_once(figures, monkeypatch):
-    calls = []
+def test_is_kv_trellis_never_enumerates_the_code(figures, monkeypatch):
+    enumerated = []
     original = Subspace.vectors
 
-    def counted(self):
-        calls.append(self.dim)
+    def recorded(self):
+        enumerated.append(self)
         return original(self)
 
-    fig7 = parse(serialize(figures["fig7"]))  # fresh caches
-    monkeypatch.setattr(Subspace, "vectors", counted)
-    assert is_kv_trellis(fig7) is False
-    assert calls == [6]  # the code only: the span profiles take no enumeration
+    monkeypatch.setattr(Subspace, "vectors", recorded)
+    # fig7's state profile admits no start set; fig9's admits one, whose
+    # words come from the subcodes D(a, r(a)) alone
+    for name, want in (("fig7", False), ("fig9", True)):
+        t = parse(serialize(figures[name]))  # fresh caches
+        code = realized_code(t)
+        enumerated.clear()
+        assert is_kv_trellis(t) is want
+        assert bool(enumerated) is want
+        assert all(code.contains_space(d) and d.dim < code.dim for d in enumerated)
 
 
 # --- benchmark draws that take a zero-run step ---------------------------------
