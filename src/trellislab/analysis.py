@@ -269,9 +269,8 @@ def property_report(t: Trellis) -> PropertyReport:
 class ChainReport:
     """Membership in the nested trellis classes for a given t parameter.
 
-    `kv` is None when the shortest-span generator search passed its cap
-    (`reduction.MAX_KV_CANDIDATES`) or an isomorphism test was undecided;
-    minimality is never decided here.
+    `kv` is None only when the isomorphism test of `is_kv_trellis`'s one
+    candidate was undecided; minimality is never decided here.
     """
 
     tparam: int

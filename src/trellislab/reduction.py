@@ -11,8 +11,6 @@ step rewrote, and the realized codes only when that does not decide it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iter_product
-from math import prod
 
 from .galois import (
     Mat,
@@ -669,7 +667,6 @@ def span_profile(code: Subspace) -> SpanProfile:
     return code.memo["span-profile"]
 
 
-MAX_KV_CANDIDATES = 512
 MAX_DRIVER_ROUNDS = 200
 
 
@@ -678,8 +675,8 @@ def _shortest_span_subcode(code: Subspace, a: int) -> Subspace:
     start a's elimination that pivot at m-r or later, with their columns put
     back in order.  Every member nonzero at a spans at least r from a, so
     exactly r: these are the codewords of shortest span from a, and the
-    lexicographically first of them is the last canonical basis row of
-    D(a, r) that is nonzero at a."""
+    lexicographically first of them, `kv_trellis`'s word at a, is the last
+    canonical basis row of D(a, r) that is nonzero at a."""
     key = ("shortest-span-subcode", a)
     if key not in code.memo:
         m, r = code.ambient_dim, span_profile(code).per_position[a]
@@ -688,62 +685,12 @@ def _shortest_span_subcode(code: Subspace, a: int) -> Subspace:
     return code.memo[key]
 
 
-def _shortest_span_words(code: Subspace, a: int) -> list[tuple[int, ...]]:
-    """The codewords nonzero at a whose span from a is the shortest, sorted:
-    the p^dim D - p^(dim D - 1) members of D = `_shortest_span_subcode`
-    nonzero at a.  Only D is enumerated, never the code."""
-    return sorted(w for w in _shortest_span_subcode(code, a).vectors() if w[a])
-
-
-def _kv_start_sets(state_dims, per_position, k: int) -> list[tuple[int, ...]] | None:
-    """Every set of k starts whose shortest spans (from a, of length
-    per_position[a] >= 2) have distinct ends and interior counts equal to
-    state_dims, in lexicographic order; None past MAX_KV_CANDIDATES subsets
-    of free cycles.
-
-    A span adds one to the states from its start + 1 to its end, so
-    state_dims[q+1] - state_dims[q] is [q is a start] - [q is an end]: +1 at
-    a start that is not an end, -1 at an end that is not a start, 0 at a
-    time that is both or neither.  So every +1 step is a start; the end of a
-    start is a start when it is a 0 step; and the other starts, all 0 steps,
-    are the ends of each other, a union of cycles of a -> end(a).  The sets
-    are the +1 steps with their chains of ends through 0 steps, joined by
-    any subset of the cycles among the remaining 0 steps, kept when they
-    have exactly k starts, distinct ends and the interior counts."""
-    m = len(state_dims)
-    end = [(a + r - 1) % m for a, r in enumerate(per_position)]
-    step = [state_dims[(q + 1) % m] - state_dims[q] for q in range(m)]
-    forced = [q for q in range(m) if step[q] == 1]
-    for a in forced:  # the list grows by each chain's next start
-        if step[end[a]] == 0 and end[a] not in forced:
-            forced.append(end[a])
-    free = {q for q in range(m) if step[q] == 0} - set(forced)
-    cycles = []
-    for q in sorted(free):
-        orbit = [q]
-        while end[orbit[-1]] in free and end[orbit[-1]] not in orbit:
-            orbit.append(end[orbit[-1]])
-        if end[orbit[-1]] == q == min(orbit):
-            cycles.append(orbit)
-    if 2 ** len(cycles) > MAX_KV_CANDIDATES:
-        return None
-    found = []
-    for picks in iter_product(*([(), c] for c in cycles)):
-        starts = sorted(set(forced).union(*picks))
-        counts = [0] * m
-        for a in starts:
-            for q in Span(a, per_position[a], m).interior():
-                counts[q] += 1
-        if len(starts) == k and len({end[a] for a in starts}) == k and tuple(counts) == tuple(state_dims):
-            found.append(tuple(starts))
-    return sorted(found)
-
-
 def kv_trellis(code: Subspace, start_assignment) -> Trellis:
     """Product trellis from shortest-span generators at the assigned start
-    positions, each the first of `_shortest_span_words` read off the basis of
-    `_shortest_span_subcode`, requiring pairwise distinct starts and ends and
-    linear independence."""
+    positions, each the lexicographically first member of its start's
+    `_shortest_span_subcode` that is nonzero at the start, read off that
+    subcode's basis; requires pairwise distinct starts and ends and linear
+    independence."""
     m = code.ambient_dim
     starts = list(start_assignment)
     if code.dim == 0:
@@ -769,13 +716,30 @@ def kv_trellis(code: Subspace, start_assignment) -> Trellis:
 
 
 def is_kv_trellis(t: Trellis) -> bool | None:
-    """Whether t is isomorphic to a product of shortest-span generators: one
-    word from each start of a set `_kv_start_sets` reads off t's state
-    profile, taken from that start's `_shortest_span_words`.  None when the
-    search passes MAX_KV_CANDIDATES (free-cycle subsets, or one start set's
-    tuples of words, counted before any is listed) or an isomorphism test
-    was undecided, which needs t not state-trim (each candidate is
-    observable)."""
+    """Whether t is isomorphic to a product of shortest-span generators with
+    distinct starts and ends.  One candidate is read off t and compared by
+    one `is_isomorphic` call, so the verdict is None only when that test is
+    undecided.
+
+    A product P of independent words is observable, so t must be.  Call a
+    trajectory supported on Span(a, r(a)) when its symbols vanish off the
+    span and its states off the span's interior.  The starts are the a at
+    which such a trajectory is nonzero, and a's word is the first canonical
+    row of that cross-section of the behavior, with symbol a listed first.
+
+    Suppose t is isomorphic to P, the product of shortest-span generators
+    g_b.  The state maps keep which states are zero, and t is observable,
+    so t and P have the same words supported on each span.  The states of
+    P's trajectories are sums of unit vectors, one per generator, so a
+    trajectory supported on Span(a, r(a)) uses only the g_b nested in that
+    span, and it is nonzero at a exactly when g_a occurs in it.  So the
+    starts found are P's starts, and each word found is c g_a plus nested
+    g_b, with c != 0.  A nested span is strictly shorter, so at every time
+    these words are triangular in the g_b with the c on the diagonal, and
+    their product is isomorphic to P.  Conversely, each word found is a
+    shortest-span word at its start, so a search over every start set and
+    every tuple of such words would try the product found whenever it is
+    isomorphic to t: both give the same True and False verdicts."""
     if any(d != 1 for d in t.symbol_dims):
         return False
     code = realized_code(t)
@@ -787,29 +751,24 @@ def is_kv_trellis(t: Trellis) -> bool | None:
         return False
     if span_profile(dual_code).chi <= 1 or prof.chi <= 1:
         return False
-    m, p, kdim, per = t.m, code.field.p, code.dim, prof.per_position
-    start_sets = _kv_start_sets(t.state_dims, per, kdim)
-    if start_sets is None:
-        return None
-    undecided = False
-    for starts in start_sets:
-        spans = [Span(a, per[a], m) for a in starts]
-        sizes = [(p - 1) * p ** (_shortest_span_subcode(code, a).dim - 1) for a in starts]
-        if prod(sizes) > MAX_KV_CANDIDATES:
-            undecided = True
-            continue
-        pools = [_shortest_span_words(code, a) for a in starts]
-        for combo in iter_product(*pools):
-            mat = Mat.from_rows(code.field, m, combo)
-            if rref(mat).rows != kdim:
-                continue
-            cand = product(code.field, [Generator(w, sp) for w, sp in zip(combo, spans)], t.symbol_dims)
-            iso = is_isomorphic(t, cand)
-            if iso.isomorphic is True:
-                return True
-            if iso.isomorphic is None:
-                undecided = True
-    return None if undecided else False
+    b = behavior(t)
+    if b.dim != code.dim:
+        return False
+    gens = []
+    for a, r in enumerate(prof.per_position):
+        span = Span(a, r, t.m)
+        cols = span.times() + [c for q in span.interior() for c in t.state_columns(q)]
+        rows = cross_section(b, cols).basis.entries
+        if rows and rows[0][0]:
+            word = [0] * t.m
+            for q, x in zip(span.times(), rows[0]):
+                word[q] = x
+            gens.append(Generator(tuple(word), span))
+    if len(gens) != code.dim or len({g.span.end for g in gens}) != code.dim:
+        return False
+    if rref(Mat.from_rows(code.field, t.m, [g.word for g in gens])).rows != code.dim:
+        return False
+    return is_isomorphic(t, product(code.field, gens, t.symbol_dims)).isomorphic
 
 
 def minimal_span_generators(code: Subspace, cut: int) -> list[Generator]:

@@ -16,9 +16,11 @@ from trellislab.trellis import (
     is_isomorphic,
     product,
     realized_code,
+    time_reversed,
 )
 from trellislab import reduction
 from trellislab.analysis import global_trim_flags, property_report
+from trellislab.cli import main
 from trellislab.corpus import verify_corpus
 from trellislab.specfile import parse, serialize
 from trellislab.fragments import t_observability_profile
@@ -45,6 +47,7 @@ from trellislab.reduction import (
     zero_run_reduce,
 )
 from conftest import random_subspace, trellises
+from test_trellis import recoordinatized
 
 import oracles
 
@@ -303,8 +306,6 @@ def test_zero_run_expansion_mixing_property(figures):
 def test_zero_run_condition_a_prime_via_reversal(figures):
     # time-reverse the 2-irreducible example so its witness satisfies A'
     fig7 = figures["fig7"]
-    from trellislab.trellis import time_reversed
-
     rev = time_reversed(fig7)
     found = None
     for j in range(9):
@@ -400,9 +401,9 @@ def test_kv_trellis_rejects_zero_code():
 
 
 def test_kv_search_decides_the_even_weight_code_at_once():
-    # the even-weight code of length 24 has 2^23 words: its one start set is
-    # read off the state profile and each start's words off a D(a, 2) of
-    # dimension 1, so the code is never enumerated
+    # the even-weight code of length 24 has 2^23 words: its one candidate is
+    # read off one cross-section of the behavior per start, so the code is
+    # never enumerated
     m = 24
     code = Subspace.span(GF2, m, [[int(q in (i, i + 1)) for q in range(m)] for i in range(m - 1)])
     t = conventional_trellis(code, 0)
@@ -421,12 +422,6 @@ def test_fig7_is_not_kv(figures):
     prof = span_profile(code)
     assert prof.per_position[5] == 4
     assert code.contains([0, 0, 0, 0, 0, 1, 0, 0, 1])
-
-
-def test_is_kv_reports_undecided_above_cap(figures, monkeypatch):
-    # fig7's state profile leaves one free cycle of a -> end(a): two subsets
-    monkeypatch.setattr(reduction, "MAX_KV_CANDIDATES", 1)
-    assert is_kv_trellis(figures["fig7"]) is None
 
 
 @st.composite
@@ -452,7 +447,8 @@ def _gf_product(p, m, gens) -> Trellis:
 
 # a state profile with two free cycles of a -> end(a), one of them the start set
 FREE_CYCLE = _gf_product(3, 6, [((0, 2, 2, 2, 1, 2), 1, 5), ((2, 1, 0, 0, 0, 1), 5, 3)])
-# one start set, whose pools of 4, 100 and 20 words give 8,000 tuples: past the cap
+# one start set, whose pools of 4, 100 and 20 words give 8,000 tuples: past
+# the oracle's cap of 512
 PAST_THE_CAP = _gf_product(
     5, 7, [((3, 1, 4, 0, 0, 0, 0), 0, 3), ((0, 4, 0, 4, 1, 2, 4), 5, 7), ((2, 0, 0, 2, 0, 0, 4), 6, 5)]
 )
@@ -463,43 +459,59 @@ PAST_THE_CAP = _gf_product(
 @example(FREE_CYCLE)
 @example(PAST_THE_CAP)
 def test_kv_search_matches_the_start_set_walk(t):
-    """The start sets read off the state profile are those of the walk over
-    all C(m, k) sets, each start's words those of a pass over the code, and
-    the verdict is the walk's wherever the walk decides."""
+    """The verdict is the walk's over all C(m, k) start sets and every tuple
+    of shortest-span words, wherever the walk decides."""
     code = realized_code(t)
     assume(0 < code.dim < t.m and code.field.p**code.dim <= 3125)
     prof = span_profile(code)
     assume(None not in prof.per_position and prof.chi > 1 and span_profile(orthogonal(code)).chi > 1)
-    per, k = prof.per_position, code.dim
-    assert reduction._kv_start_sets(t.state_dims, per, k) == oracles.kv_start_sets(t.state_dims, per, k)
-    assert [reduction._shortest_span_words(code, a) for a in range(t.m)] == oracles.shortest_span_words(code)
-    want = oracles.kv_verdict(t, code, reduction.MAX_KV_CANDIDATES)
+    want = oracles.kv_verdict(t, code, 512)
     if want is not None:
         assert is_kv_trellis(t) is want
 
 
-def test_kv_search_examples_reach_a_free_cycle_and_the_cap():
-    code = realized_code(FREE_CYCLE)
-    assert reduction._kv_start_sets(FREE_CYCLE.state_dims, span_profile(code).per_position, 2) == [(1, 5)]
+def test_kv_search_decides_a_free_cycle_and_past_the_walks_cap():
     assert is_kv_trellis(FREE_CYCLE) is True
-    assert is_kv_trellis(PAST_THE_CAP) is None
+    assert oracles.kv_verdict(PAST_THE_CAP, realized_code(PAST_THE_CAP), 512) is None
+    assert is_kv_trellis(PAST_THE_CAP) is True
+
+
+def _invertible(draw, p: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """A drawn invertible d x d matrix over GF(p): L U, with L unit lower
+    triangular and U upper triangular with a nonzero diagonal."""
+    low = [[1 if r == c else draw(st.integers(0, p - 1)) if c < r else 0 for c in range(d)] for r in range(d)]
+    up = [[draw(st.integers(int(r == c), p - 1)) if c >= r else 0 for c in range(d)] for r in range(d)]
+    return tuple(tuple(sum(low[r][q] * up[q][c] for q in range(d)) % p for c in range(d)) for r in range(d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kv_products(), st.data())
+def test_kv_verdict_is_invariant_under_reversal_and_recoordinatization(t, data):
+    maps = [_invertible(data.draw, t.field.p, d) for d in t.state_dims]
+    want = is_kv_trellis(t)
+    assert is_kv_trellis(time_reversed(t)) is want
+    assert is_kv_trellis(recoordinatized(t, maps)) is want
 
 
 def test_dual_of_kv_is_kv():
-    code = Subspace.span(GF2, 5, [[0, 1, 1, 1, 0], [1, 0, 0, 1, 0], [0, 1, 1, 0, 1]])
-    prof = span_profile(code)
+    # seeded random codes over GF(2), GF(3) and GF(5), m 3 to 9: every
+    # shortest-span product that kv_trellis builds, and its dual, is KV
     from itertools import combinations
 
-    built = None
-    for starts in combinations(range(5), 3):
-        try:
-            built = kv_trellis(code, starts)
+    rng = random.Random(2803)
+    built = 0
+    while built < 100:
+        field, m = FieldSpec(rng.choice((2, 3, 5))), rng.randint(3, 9)
+        code = random_subspace(rng, field, m, rng.randint(1, m - 1))
+        for starts in combinations(range(m), code.dim):
+            try:
+                t = kv_trellis(code, starts)
+            except ValueError:
+                continue
+            assert is_kv_trellis(t) is True
+            assert is_kv_trellis(dualize(t)) is True
+            built += 1
             break
-        except ValueError:
-            continue
-    assert built is not None
-    assert is_kv_trellis(built) is True
-    assert is_kv_trellis(dualize(built)) is True
 
 
 def test_kv_trellises_inherit_interval_memory():
@@ -686,6 +698,37 @@ def test_t_irreducibility_pinned(figures, random_set):
     got = {name: digest(_decisions(t)) for name, t in inputs.items()}
     got["random set"] = digest([_decisions(t) for t in random_set if _decidable(t)])
     assert got == T_IRREDUCIBILITY_DIGESTS
+
+
+# A TPOC, state- and branch-trim GF(3) product whose dual is neither: the
+# composite of two_reduction_m1 is not conservative on it, so the paper's
+# r = 1 construction raises (ROADMAP item 1).
+TWO_REDUCTION_FAULT = _gf_product(
+    3,
+    7,
+    [
+        ((0, 2, 0, 2, 1, 1, 1), 5, 7),
+        ((1, 2, 1, 0, 2, 1, 2), 0, 7),
+        ((1, 1, 2, 0, 0, 0, 1), 6, 4),
+        ((1, 2, 1, 2, 2, 0, 2), 2, 7),
+        ((0, 1, 2, 1, 0, 0, 0), 1, 3),
+    ],
+)
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError, reason="the composite 2-reduction is not conservative")
+@pytest.mark.parametrize("tparam", [1, 2])
+def test_t_irreducibility_decides_the_two_reduction_fault(tparam):
+    decision = t_irreducibility(TWO_REDUCTION_FAULT, tparam)
+    assert decision.verdict in ("irreducible", "reducible", "sufficient-only")
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError, reason="the composite 2-reduction is not conservative")
+def test_cli_two_reduction_reduces_the_fault_input(tmp_path):
+    path, out = tmp_path / "in.trellis", tmp_path / "out.trellis"
+    path.write_text(serialize(TWO_REDUCTION_FAULT))
+    assert main(["reduce", str(path), str(out), "--method", "two-reduction"]) == 0
+    assert realized_code(parse(out.read_text())) == realized_code(TWO_REDUCTION_FAULT)
 
 
 # --- driver and replay ----------------------------------------------------------
